@@ -9,8 +9,18 @@ BM25 uses the shifted idf ln((N - df + 0.5)/(df + 0.5) + 1), which is
 strictly positive even for terms in more than half the collection, so scores
 are always non-negative.
 
-An index persists to a directory of JSON files plus a manifest carrying the
-statistics and tokenizer configuration (manifest.json, format_version 1).
+Postings are numpy arrays in compressed sparse row (CSR) form, and retrieval
+scores eagerly over them, as in BM25S (Lu 2024): one vectorised update of a
+dense per-document accumulator per query term, then a partial sort for the
+top k.
+
+An index persists to a directory (format_version 2): the CSR arrays and the
+document lengths as .npy files, the terms, docnos and stored fields as JSON,
+and manifest.json, written last, carrying the statistics, the tokenizer
+configuration and the content fingerprint. Saving goes through a sibling
+temporary directory that is renamed onto the target, so an interrupted save
+leaves no loadable index behind; loading checks that the array lengths agree.
+Format 1 (JSON postings) is refused with a pointer to re-run `ragkit index`.
 """
 
 from __future__ import annotations
@@ -18,19 +28,29 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
-from bisect import bisect_left
+import shutil
+import uuid
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .errors import DuplicateDocno, MissingField, ParseError, UnknownDocno
-from .frame import Frame, SemType, assign_ranks
+import numpy as np
+
+from .errors import DuplicateDocno, InvalidK, MissingField, ParseError, UnknownDocno
+from .frame import Frame, SemType
 from .transformer import Signature, TERMINAL, Transformer
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+MANIFEST = "manifest.json"
+_JSON_PARTS = ("terms", "docnos", "stored")
+# persisted arrays and their on-disk dtypes
+_ARRAYS = {"indptr": "<i8", "doc_ids": "<i4", "tfs": "<i4", "doclens": "<i4"}
 
 
 class Tokenizer:
@@ -69,21 +89,37 @@ class BM25Params:
 class InvertedIndex:
     """Term postings over the `text` field plus verbatim stored fields.
 
-    Postings are parallel (doc_ids, tfs) lists with doc_ids ascending, so
-    per-document tf lookup is a binary search. Doc ids are dense 0..N-1 in
-    ingestion order.
+    Postings are CSR arrays: term t (its position in the term list) has the
+    postings doc_ids[indptr[t]:indptr[t + 1]] (int32, ascending) with the
+    matching tfs, and postings() returns those slices as array views. Doc
+    ids are dense 0..N-1 in ingestion order.
     """
 
     def __init__(self, tokenizer: Tokenizer | None = None,
                  stored_fields: Sequence[str] = ("text",)) -> None:
         self.tokenizer = tokenizer or Tokenizer()
         self.stored_fields = tuple(stored_fields)
-        self._postings: dict[str, tuple[list[int], list[int]]] = {}
-        self._doclens: list[int] = []
-        self._docnos: list[str] = []
-        self._ids: dict[str, int] = {}
-        self._stored: list[dict[str, str]] = []
-        self._fingerprint: str | None = None
+        self._set([], [], [], _csr(array("i"), array("i"), 0))
+
+    def _set(self, terms: list[str], docnos: list[str], stored: list[dict],
+             arrays: dict[str, np.ndarray], fingerprint: str | None = None) -> None:
+        self._terms = terms
+        self._term_ids = {t: i for i, t in enumerate(terms)}
+        self._docnos = docnos
+        self._ids = {d: i for i, d in enumerate(docnos)}
+        self._stored = stored
+        self._indptr = arrays["indptr"]
+        self._doc_ids = arrays["doc_ids"]
+        self._tfs = arrays["tfs"]
+        self._doclens = arrays["doclens"]
+        for a in arrays.values():
+            a.flags.writeable = False  # postings() hands out views
+        n = len(docnos)
+        self._avgdl = int(self._doclens.sum(dtype=np.int64)) / n if n else 0.0
+        # position of each doc in bytewise docno order, the retriever's tie-break
+        self._docno_rank = np.empty(n, np.int64)
+        self._docno_rank[sorted(range(n), key=docnos.__getitem__)] = np.arange(n)
+        self._fingerprint = fingerprint
 
     # -- statistics -------------------------------------------------------
 
@@ -93,24 +129,26 @@ class InvertedIndex:
 
     @property
     def avgdl(self) -> float:
-        if not self._doclens:
-            return 0.0
-        return sum(self._doclens) / len(self._doclens)
+        return self._avgdl
 
     @property
     def n_terms(self) -> int:
-        return len(self._postings)
+        return len(self._terms)
 
     def df(self, term: str) -> int:
-        entry = self._postings.get(term)
-        return len(entry[0]) if entry else 0
+        t = self._term_ids.get(term)
+        return 0 if t is None else int(self._indptr[t + 1] - self._indptr[t])
 
     def doclen(self, doc_id: int) -> int:
-        return self._doclens[doc_id]
+        return int(self._doclens[doc_id])
 
-    def postings(self, term: str) -> tuple[list[int], list[int]]:
-        """(doc_ids, tfs) for a term; empty lists when unseen."""
-        return self._postings.get(term, ([], []))
+    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """(doc_ids, tfs) array views for a term; empty arrays when unseen."""
+        t = self._term_ids.get(term)
+        if t is None:
+            return self._doc_ids[:0], self._tfs[:0]
+        start, end = self._indptr[t], self._indptr[t + 1]
+        return self._doc_ids[start:end], self._tfs[start:end]
 
     # -- document identity --------------------------------------------------
 
@@ -129,92 +167,151 @@ class InvertedIndex:
     def stored(self, doc_id: int) -> dict[str, str]:
         return self._stored[doc_id]
 
-    # -- construction (single writer, used by index_corpus only) ------------
-
-    def _add(self, docno: str, text: str, row: dict) -> None:
-        if docno in self._ids:
-            raise DuplicateDocno(docno)
-        doc_id = len(self._docnos)
-        self._ids[docno] = doc_id
-        self._docnos.append(docno)
-        tokens = self.tokenizer.tokenize(text)
-        self._doclens.append(len(tokens))
-        counts: dict[str, int] = {}
-        for t in tokens:
-            counts[t] = counts.get(t, 0) + 1
-        for term, tf in counts.items():
-            entry = self._postings.get(term)
-            if entry is None:
-                entry = ([], [])
-                self._postings[term] = entry
-            entry[0].append(doc_id)
-            entry[1].append(tf)
-        self._stored.append(
-            {f: str(row.get(f, "")) for f in self.stored_fields}
-        )
-        self._fingerprint = None
-
     # -- identity for structural pipeline equality --------------------------
+
+    def _config(self) -> dict:
+        return {
+            "stopwords": sorted(self.tokenizer.stopwords),
+            "stored_fields": list(self.stored_fields),
+        }
+
+    def _parts(self) -> dict[str, bytes | np.ndarray]:
+        """The persisted content: JSON text per metadata part, then the
+        arrays. Saving writes these and fingerprint() hashes them."""
+        parts: dict[str, bytes | np.ndarray] = {
+            name: json.dumps(getattr(self, f"_{name}")).encode() for name in _JSON_PARTS
+        }
+        parts.update((name, getattr(self, f"_{name}")) for name in _ARRAYS)
+        return parts
+
+    def _digest(self, parts: dict[str, bytes | np.ndarray]) -> str:
+        h = hashlib.sha256(json.dumps(self._config(), sort_keys=True).encode())
+        for name, data in parts.items():
+            view = memoryview(data)
+            h.update(f"\n{name} {_ARRAYS.get(name, 'json')} {view.nbytes}\n".encode())
+            h.update(view)
+        return h.hexdigest()
 
     def fingerprint(self) -> str:
         """Content hash; two indexes over identical corpora and configs get
-        the same fingerprint, so retrievers built on them compare equal."""
+        the same fingerprint, so retrievers built on them compare equal. A
+        loaded index reads it from its manifest instead of re-hashing."""
         if self._fingerprint is None:
-            h = hashlib.sha256()
-            h.update(json.dumps({
-                "stopwords": sorted(self.tokenizer.stopwords),
-                "stored_fields": list(self.stored_fields),
-                "docnos": self._docnos,
-                "doclens": self._doclens,
-                "postings": {t: [p[0], p[1]] for t, p in sorted(self._postings.items())},
-                "stored": self._stored,
-            }, sort_keys=True, ensure_ascii=True).encode())
-            self._fingerprint = h.hexdigest()
+            self._fingerprint = self._digest(self._parts())
         return self._fingerprint
 
     # -- persistence --------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
+        """Write the index to `directory`, replacing an index saved there.
+
+        Everything goes into a sibling temporary directory first, manifest
+        last, which is then renamed onto `directory`; a save that fails
+        midway leaves `directory` as it was."""
+        target = Path(directory)
+        if target.exists() and not (target / MANIFEST).is_file() and (
+                not target.is_dir() or any(target.iterdir())):
+            raise FileExistsError(f"{target} exists and is not an index directory")
+        target.parent.mkdir(parents=True, exist_ok=True)
+        parts = self._parts()
+        if self._fingerprint is None:
+            self._fingerprint = self._digest(parts)
         manifest = {
             "format_version": FORMAT_VERSION,
             "n_docs": self.n_docs,
             "n_terms": self.n_terms,
             "avgdl": self.avgdl,
-            "stored_fields": list(self.stored_fields),
-            "stopwords": sorted(self.tokenizer.stopwords),
+            **self._config(),
+            "fingerprint": self._fingerprint,
         }
-        (d / "manifest.json").write_text(json.dumps(manifest, indent=2))
-        (d / "docnos.json").write_text(json.dumps(self._docnos))
-        (d / "doclens.json").write_text(json.dumps(self._doclens))
-        (d / "stored.json").write_text(json.dumps(self._stored))
-        postings = {t: [p[0], p[1]] for t, p in self._postings.items()}
-        (d / "postings.json").write_text(json.dumps(postings))
+        tmp = target.parent / f".{target.name}.{uuid.uuid4().hex}.tmp"
+        tmp.mkdir()
+        try:
+            for name, data in parts.items():
+                if isinstance(data, bytes):
+                    (tmp / f"{name}.json").write_bytes(data)
+                else:
+                    np.save(tmp / f"{name}.npy", data, allow_pickle=False)
+            (tmp / MANIFEST).write_text(json.dumps(manifest, indent=2))
+            _replace_dir(tmp, target)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
 
     @classmethod
     def load(cls, directory: str | Path) -> "InvertedIndex":
+        """Read an index saved by save(); ParseError if it is not one, is
+        format 1, or its files disagree with each other."""
         d = Path(directory)
-        manifest_path = d / "manifest.json"
-        if not manifest_path.exists():
-            raise ParseError(f"not an index directory (no manifest.json): {d}")
-        manifest = json.loads(manifest_path.read_text())
-        version = manifest.get("format_version")
+        manifest_path = d / MANIFEST
+        if not manifest_path.is_file():
+            raise ParseError(f"not an index directory (no {MANIFEST}): {d}")
+        try:
+            manifest = json.loads(manifest_path.read_text())
+            version = manifest.get("format_version")
+        except (ValueError, AttributeError):
+            raise ParseError(f"unreadable index manifest: {manifest_path}") from None
+        if version == 1:
+            raise ParseError(
+                f"index format_version 1 (JSON postings) in {manifest_path} is no "
+                f"longer supported; re-run `ragkit index` to rebuild it as "
+                f"format_version {FORMAT_VERSION}"
+            )
         if version != FORMAT_VERSION:
             raise ParseError(
                 f"unsupported index format_version {version!r} in {manifest_path}"
             )
+        try:
+            meta = {name: json.loads((d / f"{name}.json").read_text())
+                    for name in _JSON_PARTS}
+            arrays = {name: np.load(d / f"{name}.npy", allow_pickle=False)
+                      for name in _ARRAYS}
+        except (OSError, ValueError, EOFError) as exc:
+            raise ParseError(f"unreadable index file in {d}: {exc}") from None
+
+        def require(ok, what: str) -> None:
+            if not ok:
+                raise ParseError(f"corrupt index in {d}: {what}")
+
+        require(all(isinstance(v, list) for v in meta.values()), "JSON part is not a list")
+        n_terms, n_docs = len(meta["terms"]), len(meta["docnos"])
+        indptr, doc_ids, tfs, doclens = arrays.values()
+        require(all(a.ndim == 1 and a.dtype == _ARRAYS[name]
+                    for name, a in arrays.items()), "array of the wrong shape or dtype")
+        require(manifest.get("n_terms") == n_terms and manifest.get("n_docs") == n_docs,
+                "manifest counts disagree with terms.json or docnos.json")
+        require(len(indptr) == n_terms + 1, "len(indptr) != n_terms + 1")
+        require(indptr[0] == 0 and indptr[-1] == len(doc_ids) == len(tfs)
+                and np.all(indptr[1:] >= indptr[:-1]),
+                "indptr does not span doc_ids and tfs")
+        require(len(doclens) == n_docs == len(meta["stored"]),
+                "doclens or stored fields disagree with n_docs")
+        require(len(doc_ids) == 0 or 0 <= doc_ids.min() <= doc_ids.max() < n_docs,
+                "doc id out of range")
+        require(isinstance(manifest.get("fingerprint"), str), "no fingerprint")
         idx = cls(
             tokenizer=Tokenizer(manifest.get("stopwords", ())),
             stored_fields=manifest.get("stored_fields", ["text"]),
         )
-        idx._docnos = json.loads((d / "docnos.json").read_text())
-        idx._doclens = json.loads((d / "doclens.json").read_text())
-        idx._stored = json.loads((d / "stored.json").read_text())
-        idx._ids = {docno: i for i, docno in enumerate(idx._docnos)}
-        raw = json.loads((d / "postings.json").read_text())
-        idx._postings = {t: (pair[0], pair[1]) for t, pair in raw.items()}
+        idx._set(meta["terms"], meta["docnos"], meta["stored"], arrays,
+                 manifest["fingerprint"])
         return idx
+
+
+def _replace_dir(src: Path, target: Path) -> None:
+    """Rename `src` onto `target`, moving an existing `target` aside first
+    and deleting it once `src` is in place."""
+    if not target.exists():
+        os.rename(src, target)
+        return
+    old = src.with_name(src.name + ".old")
+    os.rename(target, old)
+    try:
+        os.rename(src, target)
+    except BaseException:
+        os.rename(old, target)
+        raise
+    shutil.rmtree(old)
 
 
 def index_corpus(
@@ -229,13 +326,50 @@ def index_corpus(
     An empty stream yields an empty, still-valid index.
     """
     idx = InvertedIndex(tokenizer=tokenizer, stored_fields=fields_to_store)
+    tokenize, fields = idx.tokenizer.tokenize, idx.stored_fields
+    term_ids: defaultdict[str, int] = defaultdict()
+    term_ids.default_factory = term_ids.__len__  # a new term gets the next id
+    token_ids, doclens = array("i"), array("i")
+    docnos: list[str] = []
+    seen: set[str] = set()
+    stored: list[dict[str, str]] = []
     for row in docs:
         if "docno" not in row:
             raise MissingField("docno", "corpus document")
         if "text" not in row:
             raise MissingField("text", f"corpus document {row['docno']!r}")
-        idx._add(str(row["docno"]), str(row["text"]), row)
+        docno = str(row["docno"])
+        if docno in seen:
+            raise DuplicateDocno(docno)
+        seen.add(docno)
+        docnos.append(docno)
+        tokens = tokenize(str(row["text"]))
+        doclens.append(len(tokens))
+        token_ids.extend(map(term_ids.__getitem__, tokens))
+        stored.append({f: str(row.get(f, "")) for f in fields})
+    idx._set(list(term_ids), docnos, stored, _csr(token_ids, doclens, len(term_ids)))
     return idx
+
+
+def _csr(token_ids: array, doclens: array, n_terms: int) -> dict[str, np.ndarray]:
+    """CSR postings from the term ids of all documents' tokens, concatenated
+    in document order."""
+    lens = np.asarray(doclens, dtype=_ARRAYS["doclens"])
+    n_docs = len(lens)
+    # one key per token, term-major: sorting the keys groups the postings by
+    # term with doc ids ascending, and the run lengths are the tfs
+    keys = np.asarray(token_ids, dtype=np.int64) * n_docs
+    keys += np.repeat(np.arange(n_docs, dtype=np.int64), lens)
+    keys, tfs = np.unique(keys, return_counts=True)
+    terms, doc_ids = np.divmod(keys, max(n_docs, 1))
+    indptr = np.zeros(n_terms + 1, _ARRAYS["indptr"])
+    np.cumsum(np.bincount(terms, minlength=n_terms), out=indptr[1:])
+    return {
+        "indptr": indptr,
+        "doc_ids": doc_ids.astype(_ARRAYS["doc_ids"]),
+        "tfs": tfs.astype(_ARRAYS["tfs"]),
+        "doclens": lens,
+    }
 
 
 def bm25_score(
@@ -258,12 +392,12 @@ def bm25_score(
     score = 0.0
     for term in query_terms:
         doc_ids, tfs = index.postings(term)
-        if not doc_ids:
+        if len(doc_ids) == 0:
             continue
-        pos = bisect_left(doc_ids, doc_id)
+        pos = int(np.searchsorted(doc_ids, doc_id))
         if pos == len(doc_ids) or doc_ids[pos] != doc_id:
             continue
-        tf = tfs[pos]
+        tf = int(tfs[pos])
         df = len(doc_ids)
         idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
         score += idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * (dl / avgdl)))
@@ -281,6 +415,9 @@ class BM25Retriever(Transformer):
         num_results: int = 1000,
         include_fields: Sequence[str] = (),
     ) -> None:
+        if not isinstance(num_results, int) or isinstance(num_results, bool) \
+                or num_results <= 0:
+            raise InvalidK(num_results)
         params = params or BM25Params()
         super().__init__(
             Signature(SemType.Q, SemType.R),
@@ -297,34 +434,47 @@ class BM25Retriever(Transformer):
         self.bm25 = params
         self.num_results = num_results
         self.include_fields = tuple(include_fields)
+        # per-doc length norm: the same IEEE operations as bm25_score's
+        # denominator; only read for docs with postings, so avgdl > 0 there
+        k1, b, avgdl = params.k1, params.b, index.avgdl
+        dl = index._doclens / avgdl if avgdl else np.zeros(index.n_docs)
+        self._norm = k1 * (1.0 - b + b * dl)
+
+    def _top(self, acc: np.ndarray) -> tuple[list[int], list[float]]:
+        """Doc ids and scores of the top num_results by (score desc, docno
+        asc). Every contribution is positive, so the nonzero entries of `acc`
+        are exactly the docs that contain a query term."""
+        k = self.num_results
+        cand = np.flatnonzero(acc)
+        scores = acc[cand]
+        if len(cand) > k:
+            kth = -np.partition(-scores, k - 1)[k - 1]
+            keep = scores >= kth  # every doc tied with the k-th score survives
+            cand, scores = cand[keep], scores[keep]
+        order = np.lexsort((self.index._docno_rank[cand], -scores))[:k]
+        return cand[order].tolist(), scores[order].tolist()
 
     def apply(self, frame: Frame) -> Frame:
         idx = self.index
         n = idx.n_docs
-        avgdl = idx.avgdl
-        k1, b = self.bm25.k1, self.bm25.b
+        k1 = self.bm25.k1
+        norm = self._norm
         out_rows: list[dict] = []
         for row in frame.rows:
-            terms = idx.tokenizer.tokenize(row["query"])
-            acc: dict[int, float] = {}
+            acc = np.zeros(n)
             # term-at-a-time accumulation; per document the additions happen
-            # in query term order, matching bm25_score's summation exactly
-            for term in terms:
+            # in query term order, matching bm25_score's summation exactly,
+            # and doc ids within one posting list are unique, so the
+            # fancy-indexed add is exact
+            for term in idx.tokenizer.tokenize(row["query"]):
                 doc_ids, tfs = idx.postings(term)
-                if not doc_ids:
+                if len(doc_ids) == 0:
                     continue
                 df = len(doc_ids)
                 idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
-                for doc_id, tf in zip(doc_ids, tfs):
-                    dl = idx.doclen(doc_id)
-                    contrib = idf * (tf * (k1 + 1.0)) / (
-                        tf + k1 * (1.0 - b + b * (dl / avgdl))
-                    )
-                    acc[doc_id] = acc.get(doc_id, 0.0) + contrib
-            ranked = sorted(
-                acc.items(), key=lambda item: (-item[1], idx.docno(item[0]))
-            )[: self.num_results]
-            for rank, (doc_id, score) in enumerate(ranked):
+                acc[doc_ids] += idf * (tfs * (k1 + 1.0)) / (tfs + norm[doc_ids])
+            doc_ids, scores = self._top(acc)
+            for rank, (doc_id, score) in enumerate(zip(doc_ids, scores)):
                 out = {
                     "qid": row["qid"],
                     "docno": idx.docno(doc_id),

@@ -76,6 +76,20 @@ class TestSearchCommand:
         assert rc == 1
         assert "manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_non_positive_k_is_refused(self, index_dir, capsys, k):
+        rc = main(["search", "--index", str(index_dir), "--query", "paris", "-k", k])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k > 0" in captured.err
+
+    def test_format_1_index_asks_for_a_rebuild(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text('{"format_version": 1}')
+        rc = main(["search", "--index", str(tmp_path), "--query", "x"])
+        assert rc == 1
+        assert "ragkit index" in capsys.readouterr().err
+
 
 class TestAskCommand:
     def test_rag_pipeline_answers(self, index_dir, capsys):

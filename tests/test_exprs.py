@@ -129,6 +129,8 @@ class TestParseErrors:
             ("(bm25", "expected ')'"),
             ("bm25 %", "integer"),
             ("bm25 % 0", "positive"),
+            ("bm25(k=-2)", "k > 0"),
+            ("ircot(k=0)", "k > 0"),
             ("concat(docs)", "expected '='"),
             ('concat(sep="oops)', "unterminated"),
             ("bm25 bm25", "trailing"),

@@ -1,10 +1,20 @@
+import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ragkit.errors import DuplicateDocno, MissingField, ParseError, UnknownDocno
+from ragkit.errors import (
+    DuplicateDocno,
+    InvalidK,
+    MissingField,
+    ParseError,
+    UnknownDocno,
+)
 from ragkit.frame import Frame, SemType
 from ragkit.index import (
+    FORMAT_VERSION,
     BM25Params,
     BM25Retriever,
     InvertedIndex,
@@ -57,9 +67,10 @@ class TestIndexConstruction:
         assert idx.df("the") == 4
         assert idx.df("paris") == 2
         assert idx.df("unseen") == 0
-        assert idx.postings("unseen") == ([], [])
+        doc_ids, tfs = idx.postings("unseen")
+        assert doc_ids.tolist() == [] and tfs.tolist() == []
         doc_ids, tfs = idx.postings("paris")
-        assert doc_ids == sorted(doc_ids)
+        assert doc_ids.tolist() == sorted(doc_ids.tolist())
         assert len(doc_ids) == len(tfs) == 2
 
     def test_docno_mapping(self, small_index):
@@ -180,6 +191,45 @@ class TestRetriever:
                   Frame(SemType.Q, [{"qid": "q", "query": "!!!"}]))
         assert len(out) == 0
 
+    @pytest.mark.parametrize("bad", [0, -2, 1.5, True, "3", None])
+    def test_num_results_must_be_a_positive_int(self, small_index, bad):
+        with pytest.raises(InvalidK):
+            bm25_retriever(small_index, num_results=bad)
+
+
+@st.composite
+def _retrieval_cases(draw):
+    vocab = [f"w{i}" for i in range(draw(st.integers(1, 5)))]
+    text = st.lists(st.sampled_from(vocab), max_size=6).map(" ".join)
+    # few distinct texts over more docs: duplicates make score ties
+    texts = draw(st.lists(text, min_size=1, max_size=4))
+    n = draw(st.integers(1, 12))
+    # short docnos over an alphabet whose byte order is not ingestion order
+    docnos = draw(st.lists(st.text("zaA9_\u00e9", min_size=1, max_size=3),
+                           min_size=n, max_size=n, unique=True))
+    docs = [{"docno": d, "text": draw(st.sampled_from(texts))} for d in docnos]
+    # repeated and unseen query terms
+    query = draw(st.lists(st.sampled_from(vocab + ["unseen"]), max_size=5))
+    return docs, " ".join(query), draw(st.integers(1, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_retrieval_cases())
+def test_retriever_matches_exhaustive_bm25_score_ranking(case):
+    docs, query, k = case
+    idx = index_corpus(docs)
+    terms = idx.tokenizer.tokenize(query)
+    matched = [d for d in range(idx.n_docs)
+               if set(terms) & set(idx.tokenizer.tokenize(docs[d]["text"]))]
+    ranking = sorted(((bm25_score(idx, terms, d), idx.docno(d)) for d in matched),
+                     key=lambda x: (-x[0], x[1]))[:k]
+    out = run(bm25_retriever(idx, num_results=k),
+              Frame(SemType.Q, [{"qid": "q", "query": query}]))
+    assert [(r["docno"], r["score"]) for r in out.rows] == \
+        [(docno, score) for score, docno in ranking]
+    assert [r["rank"] for r in out.rows] == list(range(len(ranking)))
+    assert all(type(r["score"]) is float for r in out.rows)
+
 
 class TestPersistence:
     def test_save_load_round_trip(self, small_index, tmp_path):
@@ -215,8 +265,84 @@ class TestPersistence:
         small_index.save(tmp_path / "idx")
         manifest = tmp_path / "idx" / "manifest.json"
         manifest.write_text(manifest.read_text().replace(
-            '"format_version": 1', '"format_version": 99'))
+            f'"format_version": {FORMAT_VERSION}', '"format_version": 99'))
         with pytest.raises(ParseError):
+            InvertedIndex.load(tmp_path / "idx")
+
+    def test_load_refuses_format_1_with_a_pointer_to_reindex(self, small_index, tmp_path):
+        small_index.save(tmp_path / "idx")
+        manifest = tmp_path / "idx" / "manifest.json"
+        manifest.write_text(json.dumps({"format_version": 1}))
+        with pytest.raises(ParseError, match="format_version 1.*ragkit index"):
+            InvertedIndex.load(tmp_path / "idx")
+
+    def test_loaded_index_reads_its_fingerprint_from_the_manifest(self, small_index, tmp_path):
+        small_index.save(tmp_path / "idx")
+        manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
+        assert manifest["fingerprint"] == small_index.fingerprint()
+        assert InvertedIndex.load(tmp_path / "idx")._fingerprint == manifest["fingerprint"]
+
+    def test_save_replaces_an_index_and_refuses_other_directories(self, small_index, tmp_path):
+        other = index_corpus([{"docno": "x", "text": "other"}])
+        other.save(tmp_path / "idx")
+        small_index.save(tmp_path / "idx")
+        assert InvertedIndex.load(tmp_path / "idx").fingerprint() == small_index.fingerprint()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["idx"]
+        (tmp_path / "notes").mkdir()
+        (tmp_path / "notes" / "keep.txt").write_text("mine")
+        with pytest.raises(FileExistsError):
+            small_index.save(tmp_path / "notes")
+        assert (tmp_path / "notes" / "keep.txt").read_text() == "mine"
+
+    def test_interrupted_save_leaves_no_loadable_index(self, small_index, tmp_path, monkeypatch):
+        real_save, calls = np.save, []
+
+        def crash_on_second_array(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 2:
+                raise KeyboardInterrupt("killed mid-save")
+            real_save(*args, **kwargs)
+
+        monkeypatch.setattr(np, "save", crash_on_second_array)
+        with pytest.raises(KeyboardInterrupt):
+            small_index.save(tmp_path / "idx")
+        with pytest.raises(ParseError):
+            InvertedIndex.load(tmp_path / "idx")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_save_keeps_the_previous_index(self, small_index, tmp_path, monkeypatch):
+        other = index_corpus([{"docno": "x", "text": "other"}])
+        other.save(tmp_path / "idx")
+
+        def crash(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "save", crash)
+        with pytest.raises(OSError):
+            small_index.save(tmp_path / "idx")
+        assert InvertedIndex.load(tmp_path / "idx").fingerprint() == other.fingerprint()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["idx"]
+
+    def test_load_refuses_a_truncated_array_file(self, small_index, tmp_path):
+        small_index.save(tmp_path / "idx")
+        path = tmp_path / "idx" / "doc_ids.npy"
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(ParseError):
+            InvertedIndex.load(tmp_path / "idx")
+
+    @pytest.mark.parametrize("name, damage", [
+        ("doc_ids", lambda a: a[:-1]),
+        ("tfs", lambda a: a[:-1]),
+        ("indptr", lambda a: a[:-1]),
+        ("doclens", lambda a: a[:-1]),
+        ("doc_ids", lambda a: a + 4),
+        ("doc_ids", lambda a: a.astype("<i8")),
+    ])
+    def test_load_refuses_inconsistent_arrays(self, small_index, tmp_path, name, damage):
+        small_index.save(tmp_path / "idx")
+        path = tmp_path / "idx" / f"{name}.npy"
+        np.save(path, damage(np.load(path)))
+        with pytest.raises(ParseError, match="corrupt index"):
             InvertedIndex.load(tmp_path / "idx")
 
 
