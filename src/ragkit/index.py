@@ -17,9 +17,10 @@ top k.
 An index persists to a directory (format_version 2): the CSR arrays and the
 document lengths as .npy files, the terms, docnos and stored fields as JSON,
 and manifest.json, written last, carrying the statistics, the tokenizer
-configuration and the content fingerprint. Saving goes through a sibling
-temporary directory that is renamed onto the target, so an interrupted save
-leaves no loadable index behind; loading checks that the array lengths agree.
+configuration and the content fingerprint. Saving writes a sibling temporary
+directory, then moves its files into the target with the manifest last, so an
+interrupted save leaves no loadable index behind; loading checks that the
+arrays agree with each other.
 Format 1 (JSON postings) is refused with a pointer to re-run `ragkit index`.
 """
 
@@ -31,7 +32,7 @@ import math
 import os
 import re
 import shutil
-import uuid
+import tempfile
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -51,6 +52,11 @@ MANIFEST = "manifest.json"
 _JSON_PARTS = ("terms", "docnos", "stored")
 # persisted arrays and their on-disk dtypes
 _ARRAYS = {"indptr": "<i8", "doc_ids": "<i4", "tfs": "<i4", "doclens": "<i4"}
+# format 1 files that format 2 does not write; save() deletes them
+_V1_FILES = ("postings.json", "doclens.json")
+# the only entries save() accepts in a directory it replaces
+_INDEX_FILES = frozenset((MANIFEST, *_V1_FILES, *(f"{n}.json" for n in _JSON_PARTS),
+                          *(f"{n}.npy" for n in _ARRAYS)))
 
 
 class Tokenizer:
@@ -205,13 +211,22 @@ class InvertedIndex:
     def save(self, directory: str | Path) -> None:
         """Write the index to `directory`, replacing an index saved there.
 
-        Everything goes into a sibling temporary directory first, manifest
-        last, which is then renamed onto `directory`; a save that fails
-        midway leaves `directory` as it was."""
-        target = Path(directory)
-        if target.exists() and not (target / MANIFEST).is_file() and (
-                not target.is_dir() or any(target.iterdir())):
-            raise FileExistsError(f"{target} exists and is not an index directory")
+        Everything is written to a sibling temporary directory first. The
+        files then move into `directory`, whose old manifest is removed
+        before the first move and whose new manifest moves last, so a save
+        that fails midway never leaves a loadable mix of two indexes, and
+        one that fails while writing leaves `directory` as it was. A
+        directory holding anything but index files is refused."""
+        target = Path(directory).resolve()
+        if target.exists():
+            if not target.is_dir():
+                raise FileExistsError(f"{target} exists and is not a directory")
+            foreign = sorted(p.name for p in target.iterdir()
+                             if p.name not in _INDEX_FILES or not p.is_file())
+            if foreign:
+                raise FileExistsError(
+                    f"{target} holds files that are not part of an index: "
+                    + ", ".join(foreign))
         target.parent.mkdir(parents=True, exist_ok=True)
         parts = self._parts()
         if self._fingerprint is None:
@@ -224,8 +239,8 @@ class InvertedIndex:
             **self._config(),
             "fingerprint": self._fingerprint,
         }
-        tmp = target.parent / f".{target.name}.{uuid.uuid4().hex}.tmp"
-        tmp.mkdir()
+        tmp = Path(tempfile.mkdtemp(prefix=f".{target.name}.", suffix=".tmp",
+                                    dir=target.parent))
         try:
             for name, data in parts.items():
                 if isinstance(data, bytes):
@@ -233,10 +248,13 @@ class InvertedIndex:
                 else:
                     np.save(tmp / f"{name}.npy", data, allow_pickle=False)
             (tmp / MANIFEST).write_text(json.dumps(manifest, indent=2))
-            _replace_dir(tmp, target)
-        except BaseException:
+            target.mkdir(exist_ok=True)
+            for name in (MANIFEST, *_V1_FILES):
+                (target / name).unlink(missing_ok=True)
+            for path in sorted(tmp.iterdir(), key=lambda p: p.name == MANIFEST):
+                os.replace(path, target / path.name)
+        finally:
             shutil.rmtree(tmp, ignore_errors=True)
-            raise
 
     @classmethod
     def load(cls, directory: str | Path) -> "InvertedIndex":
@@ -288,6 +306,13 @@ class InvertedIndex:
                 "doclens or stored fields disagree with n_docs")
         require(len(doc_ids) == 0 or 0 <= doc_ids.min() <= doc_ids.max() < n_docs,
                 "doc id out of range")
+        require(len(tfs) == 0 or tfs.min() >= 1, "tf below 1")
+        # doc ids ascend strictly within each posting list; a step may only
+        # go down or repeat where the next list begins
+        rising = np.diff(doc_ids) > 0
+        starts = indptr[1:-1]
+        rising[starts[(starts > 0) & (starts < len(doc_ids))] - 1] = True
+        require(rising.all(), "doc ids not strictly ascending within a posting list")
         require(isinstance(manifest.get("fingerprint"), str), "no fingerprint")
         idx = cls(
             tokenizer=Tokenizer(manifest.get("stopwords", ())),
@@ -296,22 +321,6 @@ class InvertedIndex:
         idx._set(meta["terms"], meta["docnos"], meta["stored"], arrays,
                  manifest["fingerprint"])
         return idx
-
-
-def _replace_dir(src: Path, target: Path) -> None:
-    """Rename `src` onto `target`, moving an existing `target` aside first
-    and deleting it once `src` is in place."""
-    if not target.exists():
-        os.rename(src, target)
-        return
-    old = src.with_name(src.name + ".old")
-    os.rename(target, old)
-    try:
-        os.rename(src, target)
-    except BaseException:
-        os.rename(old, target)
-        raise
-    shutil.rmtree(old)
 
 
 def index_corpus(

@@ -294,6 +294,49 @@ class TestPersistence:
             small_index.save(tmp_path / "notes")
         assert (tmp_path / "notes" / "keep.txt").read_text() == "mine"
 
+    @pytest.mark.parametrize("version", [1, FORMAT_VERSION])
+    def test_save_refuses_an_index_directory_holding_other_files(
+            self, small_index, tmp_path, version):
+        small_index.save(tmp_path / "data")
+        if version == 1:
+            (tmp_path / "data" / "postings.json").write_text("{}")
+            (tmp_path / "data" / "manifest.json").write_text('{"format_version": 1}')
+        (tmp_path / "data" / "corpus.jsonl").write_text("mine")
+        before = sorted(p.name for p in (tmp_path / "data").iterdir())
+        with pytest.raises(FileExistsError, match="corpus.jsonl"):
+            small_index.save(tmp_path / "data")
+        assert sorted(p.name for p in (tmp_path / "data").iterdir()) == before
+        assert (tmp_path / "data" / "corpus.jsonl").read_text() == "mine"
+
+    def test_save_replaces_a_format_1_index_and_its_files(self, small_index, tmp_path):
+        (tmp_path / "idx").mkdir()
+        for name in ("postings.json", "doclens.json", "docnos.json", "stored.json"):
+            (tmp_path / "idx" / name).write_text("[]")
+        (tmp_path / "idx" / "manifest.json").write_text('{"format_version": 1}')
+        small_index.save(tmp_path / "idx")
+        assert InvertedIndex.load(tmp_path / "idx").fingerprint() == small_index.fingerprint()
+        assert not (tmp_path / "idx" / "postings.json").exists()
+        assert not (tmp_path / "idx" / "doclens.json").exists()
+
+    def test_save_into_the_current_directory(self, small_index, tmp_path, monkeypatch):
+        (tmp_path / "idx").mkdir()
+        monkeypatch.chdir(tmp_path / "idx")
+        other = index_corpus([{"docno": "x", "text": "other"}])
+        other.save(".")
+        small_index.save(".")
+        assert InvertedIndex.load(".").fingerprint() == small_index.fingerprint()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["idx"]
+
+    def test_save_through_a_symlink_updates_its_destination(self, small_index, tmp_path):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "real")
+        other = index_corpus([{"docno": "x", "text": "other"}])
+        other.save(tmp_path / "link")
+        small_index.save(tmp_path / "link")
+        assert (tmp_path / "link").is_symlink()
+        assert InvertedIndex.load(tmp_path / "real").fingerprint() == small_index.fingerprint()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+
     def test_interrupted_save_leaves_no_loadable_index(self, small_index, tmp_path, monkeypatch):
         real_save, calls = np.save, []
 
@@ -337,6 +380,11 @@ class TestPersistence:
         ("doclens", lambda a: a[:-1]),
         ("doc_ids", lambda a: a + 4),
         ("doc_ids", lambda a: a.astype("<i8")),
+        ("tfs", lambda a: a - a),
+        ("tfs", lambda a: -a),
+        # the first posting list is "the": doc ids 0, 1, 2, 3
+        ("doc_ids", lambda a: np.concatenate([a[[0, 0]], a[2:]])),
+        ("doc_ids", lambda a: np.concatenate([a[[1, 0]], a[2:]])),
     ])
     def test_load_refuses_inconsistent_arrays(self, small_index, tmp_path, name, damage):
         small_index.save(tmp_path / "idx")
