@@ -293,8 +293,6 @@ def _template_from_args(args: dict, default: PromptTemplate) -> PromptTemplate:
     return PromptTemplate(
         user_template=user if user is not None else default.user_template,
         system=system if system is not None else default.system,
-        context_item_template=default.context_item_template,
-        item_separator=default.item_separator,
     )
 
 

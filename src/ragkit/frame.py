@@ -75,7 +75,9 @@ class Frame:
 
     Rows are defensively copied on construction; treat the frame and its
     rows as read-only values. Construction does not validate -- call
-    :func:`validate` (pipeline execution does this at every boundary).
+    :func:`validate`. Pipeline execution validates its input frame and each
+    leaf's output once; frames built by the combinators from those are not
+    re-checked.
     """
 
     __slots__ = ("semtype", "_rows")

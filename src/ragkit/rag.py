@@ -51,32 +51,20 @@ def _check_placeholders(template: str, allowed: set[str], where: str) -> None:
 class PromptTemplate:
     """Pure-text prompt recipe.
 
-    user_template may use {query} and {context}; context_item_template may
-    use {title}, {text} and {ordinal} (1-based). Placeholders are {name}
-    sequences of letters and underscores; anything else in braces is left
-    verbatim. Unknown placeholders fail here, at construction.
+    user_template may use {query} and {context}; how documents become the
+    context is up to the Concatenator. Placeholders are {name} sequences of
+    letters and underscores; anything else in braces is left verbatim.
+    Unknown placeholders fail here, at construction.
     """
 
     user_template: str
     system: str = ""
-    context_item_template: str = "{text}"
-    item_separator: str = "\n\n"
 
     def __post_init__(self):
         _check_placeholders(self.user_template, {"query", "context"}, "user_template")
-        _check_placeholders(
-            self.context_item_template,
-            {"title", "text", "ordinal"},
-            "context_item_template",
-        )
 
     def render_user(self, query: str, context: str = "") -> str:
         return _substitute(self.user_template, {"query": query, "context": context})
-
-    def render_item(self, ordinal: int, fields: dict[str, str]) -> str:
-        values = {"title": "", "text": "", "ordinal": str(ordinal)}
-        values.update({k: str(v) for k, v in fields.items()})
-        return _substitute(self.context_item_template, values)
 
 
 DEFAULT_RAG_TEMPLATE = PromptTemplate(
@@ -270,9 +258,12 @@ class Concatenator(Transformer):
 
     Rows are taken in rank order, up to k_docs (all when None). Each row is
     rendered through the item template, cut to per_doc_char_budget, joined
-    by the separator, and the join is cut to total_char_budget. Input rows
-    must carry the query column and every field the item template uses
-    (attach them upstream with include_fields or attach_text).
+    by the separator, and the join is cut to total_char_budget. The item
+    template may use {ordinal} (1-based), {title}, {text} and each name in
+    fields; it defaults to the fields, one per line. Input rows must carry
+    the query column and every name in fields (attach them upstream with
+    include_fields or attach_text); a title or text outside fields renders
+    empty.
     """
 
     def __init__(
@@ -286,7 +277,9 @@ class Concatenator(Transformer):
     ) -> None:
         if item_template is None:
             item_template = "\n".join("{%s}" % f for f in fields)
-        _check_placeholders(item_template, {"title", "text", "ordinal"}, "item_template")
+        _check_placeholders(
+            item_template, {"title", "text", "ordinal", *fields}, "item_template"
+        )
         super().__init__(
             Signature(SemType.R, SemType.QC),
             "concat",
@@ -319,22 +312,23 @@ class Concatenator(Transformer):
                 rows = rows[: self.k_docs]
             if "query" not in groups[qid][0]:
                 raise MissingField("query", f"result rows for qid {qid!r}")
-            items = []
-            for ordinal, row in enumerate(rows, start=1):
-                values = {"ordinal": str(ordinal)}
-                for f in self.fields:
-                    if f not in row:
-                        raise MissingField(f, f"result row {row['docno']!r}")
-                    values[f] = str(row[f])
-                values.setdefault("title", "")
-                values.setdefault("text", "")
-                item = _substitute(self.item_template, values)
-                items.append(item[: self.per_doc_char_budget])
-            qcontext = self.item_separator.join(items)[: self.total_char_budget]
             out.append(
-                {"qid": qid, "query": groups[qid][0]["query"], "qcontext": qcontext}
+                {"qid": qid, "query": groups[qid][0]["query"], "qcontext": self.render(rows)}
             )
         return Frame(SemType.QC, out)
+
+    def render(self, rows: Sequence[dict]) -> str:
+        """The context string for result rows, taken in the given order."""
+        items = []
+        for ordinal, row in enumerate(rows, start=1):
+            values = {"title": "", "text": "", "ordinal": str(ordinal)}
+            for f in self.fields:
+                if f not in row:
+                    raise MissingField(f, f"result row {row['docno']!r}")
+                values[f] = str(row[f])
+            item = _substitute(self.item_template, values)
+            items.append(item[: self.per_doc_char_budget])
+        return self.item_separator.join(items)[: self.total_char_budget]
 
 
 def concatenate_context(
@@ -379,40 +373,53 @@ def render_prompt(template: PromptTemplate) -> PromptRenderer:
 
 
 def _template_params(template: PromptTemplate) -> tuple:
-    return (
-        ("system", template.system),
-        ("user_template", template.user_template),
-        ("context_item_template", template.context_item_template),
-        ("item_separator", template.item_separator),
-    )
+    return (("system", template.system), ("user_template", template.user_template))
 
 
 def _fit_prompt(template: PromptTemplate, query: str, qcontext: str,
-                limit: int) -> str:
-    prompt = template.render_user(query, qcontext)
+                limit: int, suffix: str = "") -> str:
+    prompt = template.render_user(query, qcontext) + suffix
     if len(prompt) <= limit:
         return prompt
-    # cut the context tail first; the question and instructions survive
-    overhead = len(template.render_user(query, ""))
-    allowed = max(0, limit - overhead)
-    prompt = template.render_user(query, qcontext[:allowed])
-    return prompt[:limit]
+    # cut the context tail first; the question, instructions and suffix
+    # survive whole or the prompt is refused
+    overhead = len(template.render_user(query, "")) + len(suffix)
+    if overhead > limit:
+        raise TemplateError(
+            f"prompt without context is {overhead} chars, "
+            f"over the backend's limit of {limit}"
+        )
+    allowed = (limit - overhead) // template.user_template.count("{context}")
+    return template.render_user(query, qcontext[:allowed]) + suffix
 
 
-class Reader(Transformer):
-    """Qc -> A: renders one prompt per row and asks the backend for all of
-    them in one generate call.
+def _generate(backend: Backend, template: PromptTemplate,
+              parts: Sequence[tuple[str, str, str]]) -> list[str]:
+    """One answer per (query, context, suffix), in order: each prompt is
+    fitted to the backend's max_input_chars, all go out in one generate
+    call, and a backend that does not answer each prompt once is an error."""
+    prompts = [
+        _fit_prompt(template, query, context, backend.max_input_chars, suffix)
+        for query, context, suffix in parts
+    ]
+    if not prompts:
+        return []
+    answers = list(backend.generate(prompts, system=template.system))
+    if len(answers) != len(prompts):
+        raise BackendError(
+            f"backend returned {len(answers)} answers for {len(prompts)} prompts"
+        )
+    return answers
 
-    Rows are processed in qid order; answers come back aligned, one per row,
-    never dropped. Prompts longer than the backend's max_input_chars are
-    shortened by truncating the context portion.
-    """
 
-    def __init__(self, backend: Backend, template: PromptTemplate | None = None) -> None:
-        template = template or DEFAULT_RAG_TEMPLATE
+class _Answerer(Transformer):
+    # Shared by Reader and ZeroShot: rows in qid order, one prompt each
+    # (a zero-shot template has no {context}, so qcontext is never used)
+    def __init__(self, signature: Signature, name: str, backend: Backend,
+                 template: PromptTemplate) -> None:
         super().__init__(
-            Signature(SemType.QC, SemType.A),
-            "reader",
+            signature,
+            name,
             params=(("backend", backend.descriptor),) + _template_params(template),
         )
         self.backend = backend
@@ -420,30 +427,37 @@ class Reader(Transformer):
 
     def apply(self, frame: Frame) -> Frame:
         rows = sorted(frame.rows, key=lambda r: r["qid"])
-        prompts = [
-            _fit_prompt(self.template, r["query"], r["qcontext"],
-                        self.backend.max_input_chars)
-            for r in rows
-        ]
-        if not prompts:
-            return Frame(SemType.A, ())
-        answers = self.backend.generate(prompts, system=self.template.system)
-        answers = list(answers)
-        if len(answers) != len(prompts):
-            raise BackendError(
-                f"backend returned {len(answers)} answers for {len(prompts)} prompts"
-            )
+        answers = _generate(
+            self.backend,
+            self.template,
+            [(r["query"], r.get("qcontext", ""), "") for r in rows],
+        )
         return Frame(
             SemType.A,
             [{"qid": r["qid"], "qanswer": a} for r, a in zip(rows, answers)],
         )
 
 
+class Reader(_Answerer):
+    """Qc -> A: renders one prompt per row and asks the backend for all of
+    them in one generate call.
+
+    Rows are processed in qid order; answers come back aligned, one per row,
+    never dropped. A prompt longer than the backend's max_input_chars has
+    its context cut from the tail until it fits; if the question and
+    instructions alone do not fit, the stage fails with TemplateError.
+    """
+
+    def __init__(self, backend: Backend, template: PromptTemplate | None = None) -> None:
+        super().__init__(Signature(SemType.QC, SemType.A), "reader", backend,
+                         template or DEFAULT_RAG_TEMPLATE)
+
+
 def reader(backend: Backend, template: PromptTemplate | None = None) -> Reader:
     return Reader(backend, template)
 
 
-class ZeroShot(Transformer):
+class ZeroShot(_Answerer):
     """Q -> A: direct answer generation with no retrieved context."""
 
     def __init__(self, backend: Backend, template: PromptTemplate | None = None) -> None:
@@ -452,31 +466,7 @@ class ZeroShot(Transformer):
             raise TemplateError(
                 "zero-shot template must not use {context}; there is none"
             )
-        super().__init__(
-            Signature(SemType.Q, SemType.A),
-            "zero_shot",
-            params=(("backend", backend.descriptor),) + _template_params(template),
-        )
-        self.backend = backend
-        self.template = template
-
-    def apply(self, frame: Frame) -> Frame:
-        rows = sorted(frame.rows, key=lambda r: r["qid"])
-        prompts = [
-            _fit_prompt(self.template, r["query"], "", self.backend.max_input_chars)
-            for r in rows
-        ]
-        if not prompts:
-            return Frame(SemType.A, ())
-        answers = list(self.backend.generate(prompts, system=self.template.system))
-        if len(answers) != len(prompts):
-            raise BackendError(
-                f"backend returned {len(answers)} answers for {len(prompts)} prompts"
-            )
-        return Frame(
-            SemType.A,
-            [{"qid": r["qid"], "qanswer": a} for r, a in zip(rows, answers)],
-        )
+        super().__init__(Signature(SemType.Q, SemType.A), "zero_shot", backend, template)
 
 
 def zero_shot(backend: Backend, template: PromptTemplate | None = None) -> ZeroShot:
@@ -511,10 +501,13 @@ class IterativeRetriever(Transformer):
 
     Per query: retrieve with the current query text, fold the new top
     documents into an accumulated, docno-deduplicated set (first-seen order),
-    build a context from that set, render the prompt with the original
-    question and the chain of previously generated sentences, generate one
-    continuation, and stop as soon as exit_condition accepts it (or after
-    max_iterations). Each later retrieval uses the original question plus
+    build a context from that set as a Concatenator over `fields` would,
+    render the prompt with the original question followed by the chain of
+    previously generated sentences, generate one continuation, and stop as
+    soon as exit_condition accepts it (or after max_iterations). The whole
+    prompt is fitted to the backend's max_input_chars by cutting the context
+    tail; if the question and the chain alone do not fit, the stage fails
+    with TemplateError. Each later retrieval uses the original question plus
     the latest sentence. The answer is the text after the first exit phrase
     when present, the whole chain otherwise; an `iterations` column reports
     the loop count.
@@ -560,7 +553,11 @@ class IterativeRetriever(Transformer):
         self.exit_phrase = exit_phrase.lower()
         self.max_iterations = max_iterations
         self.docs_per_iteration = docs_per_iteration
-        self.fields = tuple(fields)
+        # budgets at the backend's limit never cut what the prompt fitting
+        # would keep, so the context is cut only once, to fit the prompt
+        limit = backend.max_input_chars
+        self.concat = Concatenator(fields=fields, per_doc_char_budget=limit,
+                                   total_char_budget=limit)
 
     def apply(self, frame: Frame) -> Frame:
         out = []
@@ -585,13 +582,11 @@ class IterativeRetriever(Transformer):
                 if r["docno"] not in seen:
                     seen.add(r["docno"])
                     accumulated.append(r)
-            context = self._context(accumulated)
-            prompt = _fit_prompt(
-                self.template, question, context, self.backend.max_input_chars
-            )
-            if chain:
-                prompt = prompt + "\n" + " ".join(chain)
-            sentence = list(self.backend.generate([prompt], system=self.template.system))[0]
+            context = self.concat.render(accumulated)
+            suffix = "\n" + " ".join(chain) if chain else ""
+            sentence = _generate(
+                self.backend, self.template, [(question, context, suffix)]
+            )[0]
             chain.append(sentence)
             if self.exit_condition({"qid": qid, "qanswer": sentence}):
                 break
@@ -603,17 +598,6 @@ class IterativeRetriever(Transformer):
         else:
             answer = full
         return {"qid": qid, "qanswer": answer, "iterations": iterations}
-
-    def _context(self, accumulated: list[dict]) -> str:
-        items = []
-        for ordinal, row in enumerate(accumulated, start=1):
-            fields = {}
-            for f in self.fields:
-                if f not in row:
-                    raise MissingField(f, f"retrieved row {row['docno']!r}")
-                fields[f] = str(row[f])
-            items.append(self.template.render_item(ordinal, fields))
-        return self.template.item_separator.join(items)
 
 
 def ircot(

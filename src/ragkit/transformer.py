@@ -360,8 +360,11 @@ TraceFn = Callable[[str, str, int], None]
 
 
 def run(p: Transformer, frame: Frame, trace: TraceFn | None = None) -> Frame:
-    """Type-check, validate the input, evaluate the tree and validate the
-    output. Each leaf is invoked exactly once per position per run.
+    """Type-check, validate the input and evaluate the tree. Each leaf is
+    invoked exactly once per position per run, and its output is validated
+    where it is produced, under the leaf's path; combinator outputs are built
+    from those validated frames and are not checked again, so every frame is
+    validated once.
 
     `trace`, when given, is called as trace(path, node_name, out_row_count)
     after every node finishes.
@@ -369,11 +372,8 @@ def run(p: Transformer, frame: Frame, trace: TraceFn | None = None) -> Frame:
     sig = type_check(p)
     validate(frame, sig.input, allow_unscored_r=True)
     out = _eval(p, frame, (), trace)
-    if sig.output is TERMINAL:
-        if len(out) != 0:
-            raise PipelineError("<root>", ValueError("terminal output must be empty"))
-    else:
-        validate(out, sig.output, allow_unscored_r=True)
+    if sig.output is TERMINAL and len(out) != 0:
+        raise PipelineError("<root>", ValueError("terminal output must be empty"))
     return out
 
 

@@ -1,8 +1,11 @@
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from ragkit.errors import BackendError, MissingField, PipelineError, TemplateError, TypeMismatch
 from ragkit.frame import Frame, SemType, assign_ranks
 from ragkit.rag import (
+    DEFAULT_ITERATIVE_TEMPLATE,
     DEFAULT_RAG_TEMPLATE,
     Backend,
     PromptTemplate,
@@ -10,6 +13,7 @@ from ragkit.rag import (
     concatenate_context,
     ircot,
     phrase_exit,
+    _fit_prompt,
     reader,
     render_prompt,
     zero_shot,
@@ -48,8 +52,6 @@ class TestPromptTemplate:
     def test_unknown_placeholder_fails_at_construction(self):
         with pytest.raises(TemplateError):
             PromptTemplate(user_template="{nope}")
-        with pytest.raises(TemplateError):
-            PromptTemplate(user_template="{query}", context_item_template="{query}")
 
     def test_non_placeholder_braces_survive(self):
         t = PromptTemplate(user_template="json {{}} style {query} {x1}")
@@ -61,10 +63,21 @@ class TestPromptTemplate:
         out = t.render_user("{context}", "ctx")
         assert out == "{context} / ctx"
 
-    def test_render_item_defaults_and_ordinal(self):
-        t = PromptTemplate(user_template="{query}",
-                           context_item_template="[{ordinal}] {title}: {text}")
-        assert t.render_item(3, {"text": "body"}) == "[3] : body"
+    def test_fit_refuses_a_prompt_whose_question_alone_is_over_the_limit(self):
+        overhead = len(DEFAULT_RAG_TEMPLATE.render_user("what is the capital of france"))
+        with pytest.raises(TemplateError) as err:
+            _fit_prompt(DEFAULT_RAG_TEMPLATE, "what is the capital of france",
+                        "ctx" * 100, 20)
+        assert f"is {overhead} chars" in str(err.value)
+        assert "limit of 20" in str(err.value)
+
+    def test_fit_keeps_a_template_using_context_twice_within_the_limit(self):
+        t = PromptTemplate(user_template="{context}\nQ: {query}\n{context}")
+        overhead = len(t.render_user("why"))
+        for limit in range(overhead, overhead + 25):
+            prompt = _fit_prompt(t, "why", "abcdefghij", limit)
+            assert len(prompt) <= limit
+            assert "\nQ: why\n" in prompt
 
 
 class TestStubBackend:
@@ -146,6 +159,17 @@ class TestConcatenator:
         with pytest.raises(PipelineError) as err:
             run(concatenate_context(), no_text)
         assert isinstance(err.value.cause, MissingField)
+
+    def test_default_item_template_may_use_any_field(self):
+        rows = assign_ranks([{"qid": "q", "query": "x", "docno": "d", "score": 1.0,
+                              "abstract": "a summary"}])
+        out = run(concatenate_context(fields=("abstract",)), rows)
+        assert out.rows[0]["qcontext"] == "a summary"
+        # title and text outside fields render empty
+        c = concatenate_context(k_docs=1, item_template="[{ordinal}] {title}: {text}")
+        assert run(c, self.RESULTS).rows[0]["qcontext"] == "[1] : first doc"
+        with pytest.raises(TemplateError):
+            concatenate_context(fields=("abstract",), item_template="{body}")
 
     def test_unranked_candidates_keep_row_order(self):
         cand = Frame(SemType.R, [
@@ -334,9 +358,71 @@ class TestIterativeRetrieval:
         d = ircot(mock_retriever({}), StubBackend(), exit_condition=lambda r: True)
         assert c != d
 
+    @pytest.mark.parametrize("n_answers", [0, 2])
+    def test_misbehaving_backend_is_reported(self, n_answers):
+        class Miscounting(Backend):
+            descriptor = "miscounting"
+
+            def generate(self, prompts, system=""):
+                return ["so the answer is x"] * n_answers
+
+        loop = ircot(mock_retriever({"q1": [("d1", 1.0)]}), Miscounting(),
+                     fields=("query",))
+        with pytest.raises(PipelineError) as err:
+            run(loop, Frame(SemType.Q, [{"qid": "q1", "query": "x"}]))
+        assert isinstance(err.value.cause, BackendError)
+
     def test_missing_context_field_is_reported(self):
         ret = mock_retriever({"q1": [("d1", 1.0)]})  # rows carry no text column
         loop = ircot(ret, StubBackend(), fields=("text",))
         with pytest.raises(PipelineError) as err:
             run(loop, Frame(SemType.Q, [{"qid": "q1", "query": "x"}]))
         assert isinstance(err.value.cause, MissingField)
+
+
+def _doc_retriever(texts):
+    """Q -> R: every query retrieves the same ranked docs with text."""
+
+    def apply(frame):
+        return assign_ranks([
+            {"qid": r["qid"], "docno": f"d{i}", "score": float(len(texts) - i),
+             "query": r["query"], "text": text}
+            for r in frame.rows for i, text in enumerate(texts)
+        ])
+
+    return FnTransformer(Signature(SemType.Q, SemType.R), "docs", apply)
+
+
+class ScriptedSteps(RecordingBackend):
+    """Records prompts and answers the i-th generate call with steps[i]."""
+
+    def __init__(self, steps, max_input_chars):
+        super().__init__(max_input_chars=max_input_chars)
+        self.steps = steps
+
+    def generate(self, prompts, system=""):
+        super().generate(prompts, system)
+        return [self.steps[len(self.prompts) - 1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    question=st.text(max_size=40),
+    texts=st.lists(st.text(max_size=300), max_size=6),
+    steps=st.lists(st.text(max_size=60), min_size=1, max_size=4),
+    slack=st.integers(0, 600),
+)
+def test_ircot_prompts_fit_the_budget_and_keep_the_question(question, texts, steps, slack):
+    chain = " ".join(steps[:-1])
+    overhead = len(DEFAULT_ITERATIVE_TEMPLATE.render_user(question))
+    budget = overhead + (len("\n" + chain) if len(steps) > 1 else 0) + slack
+    backend = ScriptedSteps(steps, max_input_chars=budget)
+    loop = ircot(_doc_retriever(texts), backend, exit_condition=lambda row: False,
+                 max_iterations=len(steps), docs_per_iteration=3)
+    out = run(loop, Frame(SemType.Q, [{"qid": "q", "query": question}]))
+    assert out.rows[0]["iterations"] == len(steps)
+    sent = [prompts[0] for prompts in backend.prompts]
+    assert len(sent) == len(steps)
+    for prompt in sent:
+        assert len(prompt) <= budget
+        assert f"Question: {question}\nAnswer:" in prompt

@@ -1,7 +1,10 @@
 import pytest
 
+import ragkit.transformer
 from ragkit.errors import InvalidK, KindMismatch, PipelineError, TypeMismatch
-from ragkit.frame import Frame, SemType, assign_ranks
+from ragkit.frame import Frame, SemType, assign_ranks, validate
+from ragkit.index import BM25Retriever
+from ragkit.rag import Concatenator, StubBackend, reader
 from ragkit.transformer import (
     TERMINAL,
     CombineSum,
@@ -183,6 +186,24 @@ class TestRun:
         with pytest.raises(PipelineError) as err:
             run(bad_out, q_frame("q1"))
         assert "liar" in err.value.path
+
+    def test_each_frame_is_validated_once(self, small_index, monkeypatch):
+        # the input where run() receives it, each leaf output where it is
+        # produced; combinator outputs and the root are not re-checked
+        seen = []
+
+        def spy(frame, expected, **kwargs):
+            seen.append(expected)
+            return validate(frame, expected, **kwargs)
+
+        monkeypatch.setattr(ragkit.transformer, "validate", spy)
+        bm25 = BM25Retriever(small_index, include_fields=("text",))
+        q = Frame(SemType.Q, [{"qid": "q1", "query": "capital of france"}])
+        run(bm25, q)
+        assert seen == [SemType.Q, SemType.R]
+        seen.clear()
+        run(bm25 % 10 >> Concatenator() >> reader(StubBackend()), q)
+        assert seen == [SemType.Q, SemType.R, SemType.QC, SemType.A]
 
     def test_leaf_exception_is_wrapped_with_path(self):
         def boom(frame):
