@@ -3,8 +3,8 @@
 Build pipelines from typed transformers with four operators (>> then,
 + score combination, | set union, % rank cutoff), retrieve with a built-in
 BM25 index, generate with pluggable backends, and evaluate with EM/F1 and
-paired significance tests. Pipelines that share leading stages share the
-work when compared in one experiment.
+paired significance tests. When one experiment compares pipelines, any
+leading stages that two or more of them share run once per topic batch.
 """
 
 from .errors import (
@@ -101,9 +101,7 @@ from .eval import (
     MEASURES,
     ExperimentReport,
     Measure,
-    PrefixPlan,
     bonferroni,
-    common_prefix,
     exact_match,
     experiment,
     f1,

@@ -103,19 +103,15 @@ def load_answers(path: str | Path) -> Frame:
 
 
 def write_run(frame: Frame, path: str | Path, tag: str = "run") -> None:
-    """Write an R frame as six-column run lines, rows ordered by (qid, rank),
-    scores fixed at six decimal places."""
-    validate(frame, SemType.R)
-    rows = sorted(frame.rows, key=lambda r: (r["qid"], r["rank"]))
+    """Write the run_lines of an R frame to a file, one per line."""
+    lines = run_lines(frame, tag)
     with Path(path).open("w", encoding="utf-8") as fh:
-        for r in rows:
-            fh.write(
-                f"{r['qid']} Q0 {r['docno']} {r['rank']} {r['score']:.6f} {tag}\n"
-            )
+        fh.writelines(line + "\n" for line in lines)
 
 
 def run_lines(frame: Frame, tag: str = "run") -> list[str]:
-    """The write_run lines without touching the filesystem (CLI output)."""
+    """An R frame as six-column run lines, rows ordered by (qid, rank),
+    scores fixed at six decimal places."""
     validate(frame, SemType.R)
     rows = sorted(frame.rows, key=lambda r: (r["qid"], r["rank"]))
     return [

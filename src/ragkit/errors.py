@@ -57,10 +57,19 @@ class TypeMismatch(RagkitError):
         super().__init__(f"type mismatch{loc}: expected {expected}, got {actual}")
 
 
-class InvalidK(RagkitError):
-    def __init__(self, k):
+class InvalidK(RagkitError, ValueError):
+    """A count that must be a positive int is not one: a rank cutoff k,
+    num_results, k_docs, docs_per_iteration or max_iterations."""
+
+    def __init__(self, k, name: str = "k"):
         self.k = k
-        super().__init__(f"rank cutoff requires k > 0, got {k!r}")
+        super().__init__(f"{name} must be a positive int ({name} > 0), got {k!r}")
+
+
+def check_positive(k, name: str = "k") -> None:
+    """Raise InvalidK unless k is an int (not a bool) above zero."""
+    if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
+        raise InvalidK(k, name)
 
 
 class PipelineError(RagkitError):

@@ -7,9 +7,10 @@ the gold answers.
 
 The experiment runner takes the four essentials (systems, topics, gold
 answers, measures) and evaluates every system over every topic. Pipelines
-that start with the same stages share that work: the longest common prefix
-runs once and its output feeds each system's residual suffix, which cannot
-change any score because transformers are pure and frames immutable.
+that start with the same stages share that work: any prefix of stages that
+two or more systems have in common runs once per topic batch and its output
+feeds the rest of each of those systems, which cannot change any score
+because transformers are pure and frames immutable.
 """
 
 from __future__ import annotations
@@ -37,11 +38,9 @@ from .errors import (
 from .frame import Frame, SemType, validate
 from .transformer import (
     Signature,
-    TERMINAL,
     Transformer,
     chain,
     components,
-    identity,
     run,
     type_check,
 )
@@ -164,43 +163,28 @@ CORRECTIONS = {"bonferroni": bonferroni, "holm": holm}
 # -- prefix sharing ---------------------------------------------------------------
 
 
-@dataclass
-class PrefixPlan:
-    """The longest pipeline prefix shared by every system, plus per-system
-    residuals. Composing shared_prefix with a suffix reproduces that
-    system's original pipeline, structurally."""
+def _segments(
+    pipelines: Sequence[Transformer],
+) -> list[list[tuple[tuple, Transformer, int]]]:
+    """Cut each pipeline's `then` spine where fewer systems share its prefix.
 
-    shared_prefix: Transformer | None
-    suffixes: list[Transformer]
-
-
-def common_prefix(pipelines: Sequence[Transformer]) -> PrefixPlan:
-    """Longest common component prefix under structural equality.
-
-    Each pipeline's `then` spine is flattened into a component sequence;
-    non-sequential composites (score combination, union, cutoff) are atomic
-    units. A system equal to the whole prefix gets an identity suffix.
+    Prefixes are compared by their components' structural keys. Each segment
+    comes as (key of the prefix it ends, the segment, how many pipelines
+    have that prefix); a segment with several users can run once per batch
+    and feed them all.
     """
-    if not pipelines:
-        raise ValueError("need at least one pipeline")
-    seqs = [components(p) for p in pipelines]
-    keys = [[c._key() for c in seq] for seq in seqs]
-    limit = min(len(k) for k in keys)
-    shared = 0
-    while shared < limit and all(k[shared] == keys[0][shared] for k in keys):
-        shared += 1
-    # a terminal stage cannot feed a suffix, so never share through one
-    while shared > 0 and type_check(chain(seqs[0][:shared])).output is TERMINAL:
-        shared -= 1
-    if shared == 0:
-        return PrefixPlan(None, list(pipelines))
-    prefix = chain(seqs[0][:shared])
-    mid_type = type_check(prefix).output
-    suffixes = [
-        chain(seq[shared:]) if len(seq) > shared else identity(mid_type)
-        for seq in seqs
-    ]
-    return PrefixPlan(prefix, suffixes)
+    spines = [components(p) for p in pipelines]
+    keys = [tuple(c._key() for c in spine) for spine in spines]
+    users = Counter(key[:i] for key in keys for i in range(1, len(key) + 1))
+    plans = []
+    for spine, key in zip(spines, keys):
+        cuts = [i for i in range(1, len(key)) if users[key[:i + 1]] < users[key[:i]]]
+        bounds = [0, *cuts, len(key)]
+        plans.append([
+            (key[:b], chain(spine[a:b]), users[key[:b]])
+            for a, b in zip(bounds, bounds[1:])
+        ])
+    return plans
 
 
 # -- experiment -------------------------------------------------------------------
@@ -298,13 +282,21 @@ def experiment(
     """Evaluate question-answering systems over a topic set.
 
     systems are (name, pipeline) pairs; every pipeline must type-check to
-    Q -> A. Every topic qid needs a gold row. baseline (name or index)
-    turns on paired t-tests of each other system against it, per measure;
-    correction ("holm" or "bonferroni") adjusts those p-values per measure
-    across systems. share_prefix=False evaluates each pipeline
-    independently; scores are identical either way, only the work differs.
+    Q -> A. Every topic qid needs a gold row. baseline (a system name, or
+    an index 0 <= i < len(systems)) turns on paired t-tests of each other
+    system against it, per measure; correction ("holm" or "bonferroni")
+    adjusts those p-values per measure across systems.
+
+    With share_prefix, every prefix of `then` stages that two or more
+    systems have in common runs once per batch of batch_size topics, and
+    timing["_shared_prefix"] is the seconds spent in those shared stages;
+    timing[name] is the rest of that system's time. share_prefix=False
+    runs each pipeline whole; scores are identical either way, only the
+    work differs.
     """
     names = [name for name, _ in systems]
+    if not names:
+        raise ValueError("need at least one system")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate system names: {names}")
     pipelines = [p for _, p in systems]
@@ -322,38 +314,42 @@ def experiment(
     for row in topics.rows:
         if row["qid"] not in golds:
             raise MissingGold(row["qid"])
-    baseline_name = None
-    if baseline is not None:
-        if isinstance(baseline, int):
-            baseline_name = names[baseline]
-        elif baseline in names:
-            baseline_name = baseline
-        else:
-            raise ValueError(f"baseline {baseline!r} is not a system name: {names}")
+    if baseline is None or baseline in names:
+        baseline_name = baseline
+    elif (isinstance(baseline, int) and not isinstance(baseline, bool)
+          and 0 <= baseline < len(names)):
+        baseline_name = names[baseline]
+    else:
+        raise ValueError(
+            f"baseline {baseline!r} is neither a system name nor an index: {names}"
+        )
     if correction is not None and correction not in CORRECTIONS:
         valid = ", ".join(sorted(CORRECTIONS))
         raise ValueError(f"unknown correction {correction!r}; valid: {valid}")
 
     if share_prefix:
-        plan = common_prefix(pipelines)
+        plans = _segments(pipelines)
     else:
-        plan = PrefixPlan(None, list(pipelines))
+        plans = [[((), p, 1)] for p in pipelines]
 
     answers: dict[str, dict[str, str]] = {name: {} for name in names}
     timing = {name: 0.0 for name in names}
     timing["_shared_prefix"] = 0.0
     for chunk in _chunks(topics.rows, batch_size):
         chunk_frame = Frame(SemType.Q, chunk)
-        if plan.shared_prefix is not None:
-            t0 = time.perf_counter()
-            mid = run(plan.shared_prefix, chunk_frame)
-            timing["_shared_prefix"] += time.perf_counter() - t0
-        else:
-            mid = chunk_frame
-        for name, suffix in zip(names, plan.suffixes):
-            t0 = time.perf_counter()
-            out = run(suffix, mid)
-            timing[name] += time.perf_counter() - t0
+        shared: dict[tuple, Frame] = {}
+        for name, segments in zip(names, plans):
+            out = chunk_frame
+            for key, part, users in segments:
+                if key in shared:
+                    out = shared[key]
+                    continue
+                slot = "_shared_prefix" if users > 1 else name
+                t0 = time.perf_counter()
+                out = run(part, out)
+                timing[slot] += time.perf_counter() - t0
+                if users > 1:
+                    shared[key] = out
             for row in out.rows:
                 answers[name][row["qid"]] = row["qanswer"]
 

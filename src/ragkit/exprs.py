@@ -307,7 +307,7 @@ def _build_stage(
         ) from None
     except ExprError:
         raise
-    except (TypeError, ValueError, InvalidK) as exc:
+    except (TypeError, ValueError) as exc:
         raise ExprError(f"bad arguments for {name}: {exc}", offset) from None
     if args:
         extra = ", ".join(sorted(args))

@@ -41,7 +41,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DuplicateDocno, InvalidK, MissingField, ParseError, UnknownDocno
+from .errors import (
+    DuplicateDocno,
+    MissingField,
+    ParseError,
+    UnknownDocno,
+    check_positive,
+)
 from .frame import Frame, SemType
 from .transformer import Signature, TERMINAL, Transformer
 
@@ -424,9 +430,7 @@ class BM25Retriever(Transformer):
         num_results: int = 1000,
         include_fields: Sequence[str] = (),
     ) -> None:
-        if not isinstance(num_results, int) or isinstance(num_results, bool) \
-                or num_results <= 0:
-            raise InvalidK(num_results)
+        check_positive(num_results)
         params = params or BM25Params()
         super().__init__(
             Signature(SemType.Q, SemType.R),
@@ -499,13 +503,7 @@ class BM25Retriever(Transformer):
         return Frame(SemType.R, out_rows)
 
 
-def bm25_retriever(
-    index: InvertedIndex,
-    params: BM25Params | None = None,
-    num_results: int = 1000,
-    include_fields: Sequence[str] = (),
-) -> BM25Retriever:
-    return BM25Retriever(index, params, num_results, include_fields)
+bm25_retriever = BM25Retriever
 
 
 class TextAttacher(Transformer):
@@ -534,8 +532,7 @@ class TextAttacher(Transformer):
         return Frame(SemType.R, rows)
 
 
-def attach_text(index: InvertedIndex, fields: Sequence[str]) -> TextAttacher:
-    return TextAttacher(index, fields)
+attach_text = TextAttacher
 
 
 class Indexer(Transformer):
@@ -561,6 +558,4 @@ class Indexer(Transformer):
         return Frame(None, ())
 
 
-def indexer(fields_to_store: Sequence[str] = ("text",),
-            tokenizer: Tokenizer | None = None) -> Indexer:
-    return Indexer(fields_to_store, tokenizer)
+indexer = Indexer

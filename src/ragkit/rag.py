@@ -19,7 +19,13 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import BackendError, MissingField, TemplateError, TypeMismatch
+from .errors import (
+    BackendError,
+    MissingField,
+    TemplateError,
+    TypeMismatch,
+    check_positive,
+)
 from .frame import Frame, SemType
 from .transformer import Signature, Transformer, run, type_check
 
@@ -275,6 +281,8 @@ class Concatenator(Transformer):
         item_template: str | None = None,
         item_separator: str = "\n\n",
     ) -> None:
+        if k_docs is not None:
+            check_positive(k_docs, "k_docs")
         if item_template is None:
             item_template = "\n".join("{%s}" % f for f in fields)
         _check_placeholders(
@@ -331,18 +339,7 @@ class Concatenator(Transformer):
         return self.item_separator.join(items)[: self.total_char_budget]
 
 
-def concatenate_context(
-    k_docs: int | None = None,
-    fields: Sequence[str] = ("text",),
-    per_doc_char_budget: int = 1500,
-    total_char_budget: int = 6000,
-    item_template: str | None = None,
-    item_separator: str = "\n\n",
-) -> Concatenator:
-    return Concatenator(
-        k_docs, fields, per_doc_char_budget, total_char_budget,
-        item_template, item_separator,
-    )
+concatenate_context = Concatenator
 
 
 class PromptRenderer(Transformer):
@@ -368,8 +365,7 @@ class PromptRenderer(Transformer):
         return Frame(SemType.QC, rows)
 
 
-def render_prompt(template: PromptTemplate) -> PromptRenderer:
-    return PromptRenderer(template)
+render_prompt = PromptRenderer
 
 
 def _template_params(template: PromptTemplate) -> tuple:
@@ -453,8 +449,7 @@ class Reader(_Answerer):
                          template or DEFAULT_RAG_TEMPLATE)
 
 
-def reader(backend: Backend, template: PromptTemplate | None = None) -> Reader:
-    return Reader(backend, template)
+reader = Reader
 
 
 class ZeroShot(_Answerer):
@@ -469,8 +464,7 @@ class ZeroShot(_Answerer):
         super().__init__(Signature(SemType.Q, SemType.A), "zero_shot", backend, template)
 
 
-def zero_shot(backend: Backend, template: PromptTemplate | None = None) -> ZeroShot:
-    return ZeroShot(backend, template)
+zero_shot = ZeroShot
 
 
 # -- iterative retrieval ------------------------------------------------------
@@ -527,8 +521,8 @@ class IterativeRetriever(Transformer):
         sig = type_check(retriever)
         if sig.input is not SemType.Q or sig.output is not SemType.R:
             raise TypeMismatch(Signature(SemType.Q, SemType.R), sig, "ircot.retriever")
-        if max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+        check_positive(max_iterations, "max_iterations")
+        check_positive(docs_per_iteration, "docs_per_iteration")
         template = template or DEFAULT_ITERATIVE_TEMPLATE
         if exit_condition is None:
             exit_condition = phrase_exit(exit_phrase)
@@ -600,17 +594,4 @@ class IterativeRetriever(Transformer):
         return {"qid": qid, "qanswer": answer, "iterations": iterations}
 
 
-def ircot(
-    retriever: Transformer,
-    backend: Backend,
-    template: PromptTemplate | None = None,
-    exit_condition: Callable[[dict], bool] | None = None,
-    exit_phrase: str = DEFAULT_EXIT_PHRASE,
-    max_iterations: int = 4,
-    docs_per_iteration: int = 4,
-    fields: Sequence[str] = ("text",),
-) -> IterativeRetriever:
-    return IterativeRetriever(
-        retriever, backend, template, exit_condition, exit_phrase,
-        max_iterations, docs_per_iteration, fields,
-    )
+ircot = IterativeRetriever

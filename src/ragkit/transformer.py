@@ -9,8 +9,7 @@ signature. Signatures of concrete transformers are drawn from ten families:
     D->D   document expansion     Qc->Qc prompt rendering
     R->Q   pseudo-relevance fb    D->Terminal  indexing
 
-plus the identity T->T at any type (used as a residual when an evaluated
-pipeline equals a shared prefix exactly).
+plus the identity T->T at any type.
 
 Pipelines are trees built from four combinators, each with an operator:
 
@@ -30,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import InvalidK, PipelineError, TypeMismatch
+from .errors import PipelineError, TypeMismatch, check_positive
 from .frame import Frame, SemType, assign_ranks, validate
 
 
@@ -202,8 +201,7 @@ class Then(_Composite):
     def _key(self) -> tuple:
         # Flattening the spine makes `then` associative under ==, and
         # dropping identity components makes them neutral: p >> identity(T)
-        # equals p, which keeps "prefix plus residual" reconstructions equal
-        # to the pipelines they came from.
+        # equals p.
         parts = [c._key() for c in components(self)]
         kept = [k for k in parts if not (k[0] == "leaf" and k[1] == "identity")]
         if not kept:
@@ -303,8 +301,7 @@ def set_union(a: Transformer, b: Transformer) -> SetUnion:
 
 def rank_cutoff(a: Transformer, k: int) -> RankCutoff:
     """Keep only results ranked below k for each query."""
-    if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
-        raise InvalidK(k)
+    check_positive(k)
     node = RankCutoff(a, k)
     type_check(node)
     return node

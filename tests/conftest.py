@@ -46,6 +46,18 @@ def counting_retriever(table, name="counting"):
     return t, calls
 
 
+def counted(stage, counts, label):
+    """stage, with each apply() call tallied in counts[label]."""
+    inner = stage.apply
+
+    def apply(frame):
+        counts[label] += 1
+        return inner(frame)
+
+    stage.apply = apply
+    return stage
+
+
 def reranker(factor=2.0, name="boost"):
     """R -> R transformer scaling scores by a constant."""
 

@@ -15,16 +15,30 @@ import math
 import re
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from random import Random
 
-from conftest import mock_retriever, random_corpus, random_result_table, reranker
+from conftest import (
+    counted,
+    mock_retriever,
+    random_corpus,
+    random_result_table,
+    reranker,
+)
 from ragkit.datasets import read_run, write_run
 from ragkit.errors import TypeMismatch, ValidationError
-from ragkit.eval import common_prefix, exact_match, experiment, f1, normalize_answer
+from ragkit.eval import exact_match, experiment, f1, normalize_answer
 from ragkit.frame import Frame, SemType, assign_ranks, validate
 from ragkit.index import BM25Retriever, index_corpus
-from ragkit.rag import Concatenator, HttpBackend, IterativeRetriever, StubBackend, reader
+from ragkit.rag import (
+    Concatenator,
+    HttpBackend,
+    IterativeRetriever,
+    StubBackend,
+    reader,
+    zero_shot,
+)
 from ragkit.transformer import (
     FAMILIES,
     TERMINAL,
@@ -422,8 +436,12 @@ def test_criterion_4_em_f1_goldens_and_implication():
 
 def test_criterion_5_prefix_sharing_is_invisible_and_saves_work():
     # 20 random system sets built around one shared retrieval head: reports
-    # with sharing on and off must be identical bit for bit (timing aside),
-    # and the counting mock must see each topic once, not once per system.
+    # with sharing on and off must be identical bit for bit (timing aside).
+    # With sharing on, every stage runs once per chunk for each distinct
+    # prefix that ends in it: the head sees each topic once, and so does a
+    # context builder that several systems have after it, even when a
+    # zero-shot system that shares nothing is in the set. With sharing off,
+    # every stage runs once per chunk for each system that uses it.
     rng = Random(505)
     for set_no in range(20):
         n_topics = rng.randint(3, 8)
@@ -446,7 +464,10 @@ def test_criterion_5_prefix_sharing_is_invisible_and_saves_work():
         ])
 
         deep = set_no % 2 == 0
-        shared_concat = Concatenator(k_docs=2)
+        counts = Counter()
+        users = Counter()
+        concats = {k: counted(Concatenator(k_docs=k), counts, f"concat{k}")
+                   for k in (1, 2, 3)}
         systems = []
         for v in range(n_systems):
             if v == 0:
@@ -457,17 +478,15 @@ def test_criterion_5_prefix_sharing_is_invisible_and_saves_work():
                     script=((f"document {v}", f"answer {v}"),),
                     default_answer=f"fallback {v}",
                 )
-            if deep:
-                pipe = ret >> shared_concat >> reader(backend)
-            else:
-                pipe = ret >> Concatenator(k_docs=1 + v % 3) >> reader(backend)
+            k = 2 if deep else 1 + v % 3
+            users[f"concat{k}"] += 1
+            users[f"reader{v}"] += 1
+            pipe = ret >> concats[k] >> counted(reader(backend), counts, f"reader{v}")
             systems.append((f"s{v}", pipe))
-
-        plan = common_prefix([p for _, p in systems])
-        expected_prefix = chain([ret, shared_concat]) if deep else ret
-        assert plan.shared_prefix == expected_prefix
-        for (_, original), suffix in zip(systems, plan.suffixes):
-            assert then(plan.shared_prefix, suffix) == original
+        if set_no % 3 == 2:
+            zs = zero_shot(StubBackend("echo_query"))
+            systems.append(("zs", counted(zs, counts, "zero_shot")))
+            users["zero_shot"] += 1
 
         baseline = "s0" if set_no % 2 == 1 else None
         correction = "holm" if baseline and set_no % 4 == 1 else None
@@ -478,17 +497,22 @@ def test_criterion_5_prefix_sharing_is_invisible_and_saves_work():
                                correction=correction, batch_size=bs,
                                share_prefix=True)
         rows_on, applies_on = calls["rows"], calls["applies"]
+        counts_on = dict(counts)
         calls["rows"] = calls["applies"] = 0
+        counts.clear()
         report_off = experiment(systems, topics, gold, baseline=baseline,
                                 correction=correction, batch_size=bs,
                                 share_prefix=False)
         rows_off, applies_off = calls["rows"], calls["applies"]
+        counts_off = dict(counts)
         calls["rows"] = calls["applies"] = 0
 
         assert rows_on == n_topics, f"set {set_no}: prefix saw {rows_on} rows"
         assert applies_on == n_chunks
+        assert counts_on == {label: n_chunks for label in users}
         assert rows_off == n_topics * n_systems
         assert applies_off == n_chunks * n_systems
+        assert counts_off == {label: n_chunks * n for label, n in users.items()}
 
         d_on = report_on.to_dict()
         d_off = report_off.to_dict()
@@ -496,7 +520,7 @@ def test_criterion_5_prefix_sharing_is_invisible_and_saves_work():
         d_off.pop("timing")
         assert json.dumps(d_on, sort_keys=True) == json.dumps(d_off, sort_keys=True)
     print("criterion 5: 20 system sets identical with sharing on/off; "
-          "prefix ran once per topic")
+          "each distinct prefix ran once per chunk")
 
 
 # -- criterion 6: worked end-to-end example --------------------------------------

@@ -1,7 +1,9 @@
 import json
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from ragkit.errors import (
@@ -14,9 +16,7 @@ from ragkit.errors import (
 from ragkit.eval import (
     EM,
     F1,
-    PrefixPlan,
     bonferroni,
-    common_prefix,
     exact_match,
     experiment,
     f1,
@@ -25,11 +25,11 @@ from ragkit.eval import (
     paired_ttest,
     resolve_measures,
 )
-from ragkit.frame import Frame, SemType
+from ragkit.frame import Frame, SemType, assign_ranks
 from ragkit.rag import StubBackend, concatenate_context, reader, zero_shot
-from ragkit.transformer import TERMINAL, FnTransformer, Signature, identity, run, type_check
+from ragkit.transformer import FnTransformer, Signature
 
-from conftest import counting_retriever, mock_retriever, reranker
+from conftest import counted, counting_retriever, mock_retriever, reranker
 
 
 class TestNormalization:
@@ -155,55 +155,74 @@ class TestCorrections:
 
 
 class TestCommonPrefix:
+    """Prefix sharing in experiment(), seen through counting stages: each
+    distinct prefix of `then` stages runs once per batch, whichever systems
+    share it."""
+
     def stages(self):
-        r = mock_retriever({"q1": [("d1", 1.0)]})
-        return r, reranker(2.0), reranker(3.0, name="other")
+        counts = Counter()
+        r = counted(mock_retriever({"q1": [("d1", 1.0)]}), counts, "r")
+        b1 = counted(reranker(2.0), counts, "b1")
+        b2 = counted(reranker(3.0, name="other"), counts, "b2")
+        tail = concatenate_context(fields=("query",)) >> counted(
+            reader(StubBackend("echo_query")), counts, "read")
+        return counts, r, b1, b2, tail
+
+    def applies(self, counts, *pipelines, share_prefix=True):
+        counts.clear()
+        systems = [(f"s{i}", p) for i, p in enumerate(pipelines)]
+        experiment(systems, TOPICS, GOLD, share_prefix=share_prefix)
+        return dict(counts)
 
     def test_shared_prefix_and_suffixes(self):
-        r, b1, b2 = self.stages()
-        plan = common_prefix([r >> b1, r >> b2])
-        assert plan.shared_prefix == r
-        assert plan.suffixes[0] == b1 and plan.suffixes[1] == b2
+        counts, r, b1, b2, tail = self.stages()
+        systems = (r >> b1 >> tail, r >> b2 >> tail)
+        assert self.applies(counts, *systems) == {"r": 1, "b1": 1, "b2": 1, "read": 2}
+        assert self.applies(counts, *systems, share_prefix=False) == {
+            "r": 2, "b1": 1, "b2": 1, "read": 2}
 
-    def test_equal_pipelines_get_identity_suffixes(self):
-        r, b1, _ = self.stages()
-        p = r >> b1
-        plan = common_prefix([p, r >> reranker(2.0)])
-        assert plan.shared_prefix == p
-        for suffix in plan.suffixes:
-            assert suffix == identity(SemType.R)
-        # prefix plus suffix reconstructs the original, structurally
-        assert (plan.shared_prefix >> plan.suffixes[0]) == p
+    def test_identical_systems_run_once(self):
+        counts, r, b1, _, tail = self.stages()
+        # equal stages built separately: only the first system's ever run
+        twin = mock_retriever({"q1": [("d1", 1.0)]}) >> reranker(2.0) >> tail
+        assert self.applies(counts, r >> b1 >> tail, twin) == {
+            "r": 1, "b1": 1, "read": 1}
 
     def test_no_common_prefix(self):
-        r, b1, b2 = self.stages()
-        other = mock_retriever({}, name="different")
-        plan = common_prefix([r >> b1, other >> b1])
-        assert plan.shared_prefix is None
-        assert plan.suffixes == [r >> b1, other >> b1]
+        counts, r, b1, _, tail = self.stages()
+        other = counted(mock_retriever({}, name="different"), counts, "other")
+        assert self.applies(counts, r >> b1 >> tail, other >> b1 >> tail) == {
+            "r": 1, "other": 1, "b1": 2, "read": 2}
+
+    def test_equal_stages_after_different_prefixes_run_apart(self):
+        counts, r, b1, b2, tail = self.stages()
+        other = counted(mock_retriever({}, name="different"), counts, "other")
+        systems = [head >> rest for head in (r, other)
+                   for rest in (b1 >> tail, b1 >> b2 >> tail, b2 >> tail)]
+        assert self.applies(counts, *systems) == {
+            "r": 1, "other": 1, "b1": 2, "b2": 4, "read": 6}
 
     def test_composites_must_match_exactly(self):
-        r, b1, _ = self.stages()
-        plan = common_prefix([(r % 3) >> b1, (r % 5) >> b1])
-        assert plan.shared_prefix is None
-        plan = common_prefix([(r % 3) >> b1, (r % 3) >> b1])
-        assert plan.shared_prefix == (r % 3) >> b1
+        counts, r, b1, _, tail = self.stages()
+        assert self.applies(counts, (r % 3) >> b1 >> tail, (r % 5) >> b1 >> tail) == {
+            "r": 2, "b1": 2, "read": 2}
+        assert self.applies(counts, (r % 3) >> b1 >> tail, (r % 3) >> b1 >> tail) == {
+            "r": 1, "b1": 1, "read": 1}
 
     def test_single_pipeline_shares_everything(self):
-        r, b1, _ = self.stages()
-        plan = common_prefix([r >> b1])
-        assert plan.shared_prefix == r >> b1
-        assert plan.suffixes == [identity(SemType.R)]
+        counts, r, b1, _, tail = self.stages()
+        assert self.applies(counts, r >> b1 >> tail) == {"r": 1, "b1": 1, "read": 1}
 
-    def test_never_shares_through_terminal(self):
-        sink = FnTransformer(Signature(SemType.D, TERMINAL), "sink",
-                             lambda f: Frame(None, ()))
-        plan = common_prefix([sink, sink])
-        assert plan.shared_prefix is None
+    def test_system_sharing_nothing_leaves_the_others_sharing(self):
+        counts, r, b1, b2, tail = self.stages()
+        zs = counted(zero_shot(StubBackend("echo_query")), counts, "zs")
+        assert self.applies(counts, zs, r >> b1 >> tail, r >> b2 >> tail) == {
+            "zs": 1, "r": 1, "b1": 1, "b2": 1, "read": 2}
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            common_prefix([])
+        for share_prefix in (True, False):
+            with pytest.raises(ValueError):
+                experiment([], TOPICS, GOLD, share_prefix=share_prefix)
 
 
 def make_system(answer_by_qid, name):
@@ -258,6 +277,8 @@ class TestExperiment:
         s2 = make_system({"q1": "paris"}, "s2")
         report = experiment([("s1", s1), ("s2", s2)], TOPICS, GOLD, baseline=0)
         assert report.baseline == "s1"
+        assert experiment([("s1", s1), ("s2", s2)], TOPICS, GOLD,
+                          baseline=1).baseline == "s2"
         # identical scores: the degenerate t-test convention applies
         assert report.significance["s2"]["EM"] == 1.0
 
@@ -295,8 +316,9 @@ class TestExperiment:
             experiment([("s", s), ("s", s)], TOPICS, GOLD)
         with pytest.raises(TypeMismatch):
             experiment([("r", mock_retriever({}))], TOPICS, GOLD)
-        with pytest.raises(ValueError):
-            experiment([("s", s)], TOPICS, GOLD, baseline="nope")
+        for bad in ("nope", True, False, -1, 1, 1.0):
+            with pytest.raises(ValueError, match=r"\['s'\]"):
+                experiment([("s", s)], TOPICS, GOLD, baseline=bad)
         with pytest.raises(ValueError):
             experiment([("s", s)], TOPICS, GOLD, correction="fdr")
         with pytest.raises(ValueError):
@@ -354,6 +376,90 @@ class TestExperiment:
         report = experiment([("s1", mk("s1")), ("s2", mk("s2"))], TOPICS, GOLD)
         assert set(report.timing) == {"s1", "s2", "_shared_prefix"}
         assert all(v >= 0.0 for v in report.timing.values())
+
+
+def text_retriever(i):
+    """Q -> R stage returning three documents with text per query."""
+
+    def apply(frame):
+        return assign_ranks([
+            {"qid": r["qid"], "query": r["query"], "docno": f"d{j}",
+             "score": float(3 - j), "text": f"doc {j} of {i} for {r['query']}."}
+            for r in frame.rows for j in range(3)
+        ])
+
+    return FnTransformer(Signature(SemType.Q, SemType.R), f"ret{i}", apply,
+                         params=(("i", i),))
+
+
+# a system is its stages' specs: (retriever, cutoff), concatenator, reader;
+# or the zero-shot stage alone. A stage's counter is named after its first
+# two fields; a cutoff wraps its retriever and has no counter of its own.
+_RAG_SPECS = st.builds(
+    lambda i, cut, j, r: (("ret", i, cut), ("concat", j), ("read", r)),
+    st.integers(0, 1), st.sampled_from([None, 1, 2]),
+    st.integers(0, 1), st.integers(0, 1),
+)
+_SYSTEM_SPECS = st.one_of(st.just((("zs",),)), _RAG_SPECS)
+
+
+def _label(stage):
+    return "".join(str(part) for part in stage[:2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    specs=st.lists(_SYSTEM_SPECS, min_size=1, max_size=5),
+    n_topics=st.integers(1, 5),
+    batch_size=st.one_of(st.none(), st.integers(1, 4)),
+)
+def test_each_distinct_prefix_runs_once_per_batch(specs, n_topics, batch_size):
+    counts = Counter()
+    rets = [counted(text_retriever(i), counts, f"ret{i}") for i in range(2)]
+    concats = [counted(concatenate_context(k_docs=j + 1), counts, f"concat{j}")
+               for j in range(2)]
+    readers = [counted(reader(StubBackend(mode)), counts, f"read{r}")
+               for r, mode in enumerate(("echo_query", "extractive_first_sentence"))]
+    zs = counted(zero_shot(StubBackend("echo_query")), counts, "zs")
+
+    def build(spec):
+        if spec[0] == ("zs",):
+            return zs
+        (_, i, cut), (_, j), (_, r) = spec
+        head = rets[i] if cut is None else rets[i] % cut
+        return head >> concats[j] >> readers[r]
+
+    systems = [(f"s{n}", build(spec)) for n, spec in enumerate(specs)]
+    topics = Frame(SemType.Q, [
+        {"qid": f"q{n}", "query": f"question {n}"} for n in range(n_topics)
+    ])
+    # odd topics are answered by echo readers, even ones by extractive
+    # readers over retriever 1
+    gold = Frame(SemType.GA, [
+        {"qid": f"q{n}",
+         "ganswer": [f"question {n}" if n % 2 else f"doc 0 of 1 for question {n}"]}
+        for n in range(n_topics)
+    ])
+    n_chunks = 1 if batch_size is None else -(-n_topics // batch_size)
+
+    reports, applies = [], []
+    for share_prefix in (True, False):
+        counts.clear()
+        report = experiment(systems, topics, gold, baseline=0, correction="holm",
+                            batch_size=batch_size, share_prefix=share_prefix)
+        reports.append({k: v for k, v in report.to_dict().items() if k != "timing"})
+        applies.append(dict(counts))
+
+    assert reports[0] == reports[1]
+    prefixes = {spec[:n] for spec in specs for n in range(1, len(spec) + 1)}
+    assert applies[0] == {
+        label: n * n_chunks
+        for label, n in Counter(_label(p[-1]) for p in prefixes).items()
+    }
+    assert applies[1] == {
+        label: n * n_chunks
+        for label, n in Counter(_label(stage) for spec in specs for stage in spec).items()
+    }
 
 
 class TestReportOutput:

@@ -131,6 +131,9 @@ class TestParseErrors:
             ("bm25 % 0", "positive"),
             ("bm25(k=-2)", "k > 0"),
             ("ircot(k=0)", "k > 0"),
+            ("concat(docs=-1)", "k_docs > 0"),
+            ("ircot(docs=-1)", "docs_per_iteration > 0"),
+            ("ircot(iters=0)", "max_iterations > 0"),
             ("concat(docs)", "expected '='"),
             ('concat(sep="oops)', "unterminated"),
             ("bm25 bm25", "trailing"),

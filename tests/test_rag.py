@@ -2,7 +2,14 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from ragkit.errors import BackendError, MissingField, PipelineError, TemplateError, TypeMismatch
+from ragkit.errors import (
+    BackendError,
+    InvalidK,
+    MissingField,
+    PipelineError,
+    TemplateError,
+    TypeMismatch,
+)
 from ragkit.frame import Frame, SemType, assign_ranks
 from ragkit.rag import (
     DEFAULT_ITERATIVE_TEMPLATE,
@@ -179,6 +186,11 @@ class TestConcatenator:
         out = run(concatenate_context(), cand)
         assert out.rows[0]["qcontext"] == "late\n\nearly"
 
+    def test_k_docs_must_be_none_or_a_positive_int(self):
+        for bad in (0, -1, 1.5, True, "2"):
+            with pytest.raises(InvalidK, match="k_docs"):
+                concatenate_context(k_docs=bad)
+
     def test_empty_input(self):
         out = run(concatenate_context(), Frame(SemType.R, ()))
         assert len(out) == 0
@@ -346,6 +358,10 @@ class TestIterativeRetrieval:
     def test_bad_max_iterations(self):
         with pytest.raises(ValueError):
             ircot(mock_retriever({}), StubBackend(), max_iterations=0)
+        for bad in (0, -1, 1.5, True):
+            for name in ("max_iterations", "docs_per_iteration"):
+                with pytest.raises(InvalidK, match=name):
+                    ircot(mock_retriever({}), StubBackend(), **{name: bad})
 
     def test_structural_equality_with_phrase_exit(self):
         a = ircot(mock_retriever({"q": []}), StubBackend(),
