@@ -277,12 +277,18 @@ def parse(text: str, env: Env | None = None) -> Transformer:
     return _Parser(text, env or Env()).parse()
 
 
-def _fields_list(value, default=("text",)) -> tuple[str, ...]:
-    if value is None:
-        return tuple(default)
+def _fields_list(value) -> tuple[str, ...]:
     if isinstance(value, str):
         return tuple(f for f in re.split(r"[+\s]+", value) if f)
     raise ValueError(f"expected a field list, got {value!r}")
+
+
+def _take(args: dict, **names: str) -> dict:
+    """Constructor keyword arguments, as parameter=value, for each
+    parameter=argument pair of `names` whose argument the expression gives;
+    values pass unchanged, so the constructor checks them and supplies
+    its own defaults."""
+    return {param: args.pop(arg) for param, arg in names.items() if arg in args}
 
 
 def _template_from_args(args: dict, default: PromptTemplate) -> PromptTemplate:
@@ -307,7 +313,7 @@ def _build_stage(
         ) from None
     except ExprError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, AttributeError) as exc:
         raise ExprError(f"bad arguments for {name}: {exc}", offset) from None
     if args:
         extra = ", ".join(sorted(args))
@@ -319,26 +325,25 @@ def _stage_bm25(args, offsets, offset, env):
     # the expression surface attaches text by default so that
     # "bm25 >> concat >> reader" works without an explicit attach stage;
     # pass fields="" to index-only rows
-    params = BM25Params(k1=float(args.pop("k1", 1.2)), b=float(args.pop("b", 0.75)))
-    num = int(args.pop("k", args.pop("num_results", 1000)))
-    fields = _fields_list(args.pop("fields", None), default=("text",))
-    return BM25Retriever(env.index(offset), params, num, fields)
+    return BM25Retriever(
+        env.index(offset),
+        BM25Params(**_take(args, k1="k1", b="b")),
+        include_fields=_fields_list(args.pop("fields", "text")),
+        # k is the short name of num_results and wins when both are given
+        **_take(args, num_results="num_results") | _take(args, num_results="k"),
+    )
 
 
 def _stage_attach(args, offsets, offset, env):
-    fields = _fields_list(args.pop("fields", None))
-    return TextAttacher(env.index(offset), fields)
+    return TextAttacher(env.index(offset), _fields_list(args.pop("fields", "text")))
 
 
 def _stage_concat(args, offsets, offset, env):
-    fields = _fields_list(args.pop("fields", None))
-    return Concatenator(
-        k_docs=args.pop("docs", None),
-        fields=fields,
-        per_doc_char_budget=int(args.pop("per_doc", 1500)),
-        total_char_budget=int(args.pop("total", 6000)),
-        item_separator=args.pop("sep", "\n\n"),
-    )
+    kwargs = _take(args, k_docs="docs", fields="fields", per_doc_char_budget="per_doc",
+                   total_char_budget="total", item_separator="sep")
+    if "fields" in kwargs:
+        kwargs["fields"] = _fields_list(kwargs["fields"])
+    return Concatenator(**kwargs)
 
 
 def _stage_prompt(args, offsets, offset, env):
@@ -363,22 +368,15 @@ def _stage_zeroshot(args, offsets, offset, env):
 def _stage_ircot(args, offsets, offset, env):
     spec = args.pop("backend", "stub:echo")
     backend = env.backend(str(spec), offsets.get("backend", offset))
-    fields = _fields_list(args.pop("fields", None))
-    retriever = BM25Retriever(
-        env.index(offset),
-        BM25Params(),
-        int(args.pop("k", 100)),
-        include_fields=fields,
-    )
+    # the loop's retriever attaches the fields its context is built from
+    fields = _fields_list(args.pop("fields", "text"))
+    retriever = BM25Retriever(env.index(offset), num_results=args.pop("k", 100),
+                              include_fields=fields)
     template = _template_from_args(args, DEFAULT_ITERATIVE_TEMPLATE)
     return IterativeRetriever(
-        retriever,
-        backend,
-        template,
-        exit_phrase=str(args.pop("exit", "so the answer is")),
-        max_iterations=int(args.pop("iters", 4)),
-        docs_per_iteration=int(args.pop("docs", 4)),
-        fields=fields,
+        retriever, backend, template, fields=fields,
+        **_take(args, exit_phrase="exit", max_iterations="iters",
+                docs_per_iteration="docs"),
     )
 
 

@@ -226,6 +226,14 @@ def assign_ranks(rows: Frame | Iterable[Mapping]) -> Frame:
     return Frame(SemType.R, out)
 
 
+def rank_ordered(rows: Sequence[Mapping]) -> list:
+    """Rows sorted by (qid, rank) when they carry ranks; in their given order
+    otherwise (candidate sets from set union)."""
+    if any("rank" in r for r in rows):
+        return sorted(rows, key=lambda r: (r["qid"], r["rank"]))
+    return list(rows)
+
+
 def concat(frames: Sequence[Frame], semtype: SemType) -> Frame:
     """Row-wise concatenation of same-typed frames; validates the result."""
     rows: list[dict] = []

@@ -204,6 +204,9 @@ class InvertedIndex:
             h.update(view)
         return h.hexdigest()
 
+    def _key(self) -> str:
+        return self.fingerprint()
+
     def fingerprint(self) -> str:
         """Content hash; two indexes over identical corpora and configs get
         the same fingerprint, so retrievers built on them compare equal. A
@@ -419,38 +422,27 @@ def bm25_score(
     return score
 
 
+@dataclass(eq=False, repr=False)
 class BM25Retriever(Transformer):
     """Q -> R transformer scoring every document that contains at least one
     query term, keeping the top num_results by (score desc, docno asc)."""
 
-    def __init__(
-        self,
-        index: InvertedIndex,
-        params: BM25Params | None = None,
-        num_results: int = 1000,
-        include_fields: Sequence[str] = (),
-    ) -> None:
-        check_positive(num_results)
-        params = params or BM25Params()
-        super().__init__(
-            Signature(SemType.Q, SemType.R),
-            "bm25",
-            params=(
-                ("k1", params.k1),
-                ("b", params.b),
-                ("num_results", num_results),
-                ("include_fields", tuple(include_fields)),
-                ("index", index.fingerprint()),
-            ),
-        )
-        self.index = index
-        self.bm25 = params
-        self.num_results = num_results
-        self.include_fields = tuple(include_fields)
+    index: InvertedIndex
+    bm25: BM25Params | None = None
+    num_results: int = 1000
+    include_fields: Sequence[str] = ()
+
+    signature = Signature(SemType.Q, SemType.R)
+    name = "bm25"
+
+    def __post_init__(self) -> None:
+        check_positive(self.num_results)
+        self.bm25 = self.bm25 or BM25Params()
+        self.include_fields = tuple(self.include_fields)
         # per-doc length norm: the same IEEE operations as bm25_score's
         # denominator; only read for docs with postings, so avgdl > 0 there
-        k1, b, avgdl = params.k1, params.b, index.avgdl
-        dl = index._doclens / avgdl if avgdl else np.zeros(index.n_docs)
+        k1, b, avgdl = self.bm25.k1, self.bm25.b, self.index.avgdl
+        dl = self.index._doclens / avgdl if avgdl else np.zeros(self.index.n_docs)
         self._norm = k1 * (1.0 - b + b * dl)
 
     def _top(self, acc: np.ndarray) -> tuple[list[int], list[float]]:
@@ -506,20 +498,18 @@ class BM25Retriever(Transformer):
 bm25_retriever = BM25Retriever
 
 
+@dataclass(eq=False, repr=False)
 class TextAttacher(Transformer):
     """R -> R transformer adding stored fields to result rows by docno."""
 
-    def __init__(self, index: InvertedIndex, fields: Sequence[str]) -> None:
-        super().__init__(
-            Signature(SemType.R, SemType.R),
-            "attach_text",
-            params=(
-                ("fields", tuple(fields)),
-                ("index", index.fingerprint()),
-            ),
-        )
-        self.index = index
-        self.fields = tuple(fields)
+    index: InvertedIndex
+    fields: Sequence[str]
+
+    signature = Signature(SemType.R, SemType.R)
+    name = "attach_text"
+
+    def __post_init__(self) -> None:
+        self.fields = tuple(self.fields)
 
     def apply(self, frame: Frame) -> Frame:
         rows = []
@@ -535,20 +525,21 @@ class TextAttacher(Transformer):
 attach_text = TextAttacher
 
 
+@dataclass(eq=False, repr=False)
 class Indexer(Transformer):
     """D -> Terminal transformer; consumes a document frame and leaves the
     built index on `self.index`. The one transformer with write-on-apply
     state, so build each instance in a single task."""
 
-    def __init__(self, fields_to_store: Sequence[str] = ("text",),
-                 tokenizer: Tokenizer | None = None) -> None:
-        super().__init__(
-            Signature(SemType.D, TERMINAL),
-            "indexer",
-            params=(("fields_to_store", tuple(fields_to_store)),),
-        )
-        self.fields_to_store = tuple(fields_to_store)
-        self.tokenizer = tokenizer
+    fields_to_store: Sequence[str] = ("text",)
+    tokenizer: Tokenizer | None = None
+
+    signature = Signature(SemType.D, TERMINAL)
+    name = "indexer"
+
+    def __post_init__(self) -> None:
+        self.fields_to_store = tuple(self.fields_to_store)
+        self.tokenizer = self.tokenizer or Tokenizer()
         self.index: InvertedIndex | None = None
 
     def apply(self, frame: Frame) -> Frame:

@@ -11,7 +11,6 @@ OpenAI-compatible chat-completions protocol.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 import string
@@ -26,7 +25,7 @@ from .errors import (
     TypeMismatch,
     check_positive,
 )
-from .frame import Frame, SemType
+from .frame import Frame, SemType, rank_ordered
 from .transformer import Signature, Transformer, run, type_check
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_]+)\}")
@@ -100,10 +99,19 @@ class Backend:
 
     generate must return exactly one answer per prompt, order-aligned, and
     must tolerate concurrent calls from independent pipeline runs.
+
+    `descriptor` names the backend for display. Its identity, _key(), is the
+    descriptor plus max_input_chars, and a subclass adds every other setting
+    that changes its answers (StubBackend its script, HttpBackend base_url
+    and temperature). Stages over backends with equal keys compare equal
+    and may be shared between the systems of one experiment.
     """
 
     descriptor: str = "backend"
     max_input_chars: int = 1_000_000
+
+    def _key(self) -> tuple:
+        return (self.descriptor, self.max_input_chars)
 
     def generate(self, prompts: Sequence[str], system: str = "") -> list[str]:
         raise NotImplementedError
@@ -131,17 +139,13 @@ class StubBackend(Backend):
         if mode not in self.MODES:
             raise ValueError(f"unknown stub mode {mode!r}; expected one of {self.MODES}")
         self.mode = mode
-        self.script = tuple(script)
+        self.script = tuple(map(tuple, script))
         self.default_answer = default_answer
         self.descriptor = f"stub:{mode}"
-        if mode == "scripted":
-            # the script changes the output, so it must be part of the
-            # identity that pipeline equality (and prefix sharing) sees
-            digest = hashlib.sha256(
-                repr((self.script, self.default_answer)).encode()
-            ).hexdigest()[:12]
-            self.descriptor = f"stub:scripted:{digest}"
         self.calls = 0
+
+    def _key(self) -> tuple:
+        return super()._key() + (self.script, self.default_answer)
 
     def generate(self, prompts: Sequence[str], system: str = "") -> list[str]:
         self.calls += 1
@@ -211,6 +215,9 @@ class HttpBackend(Backend):
         self._sleep = sleeper
         self.descriptor = f"http:{self.model}"
 
+    def _key(self) -> tuple:
+        return super()._key() + (self.base_url, self.temperature)
+
     def generate(self, prompts: Sequence[str], system: str = "") -> list[str]:
         return [self._one(p, system) for p in prompts]
 
@@ -259,6 +266,7 @@ class HttpBackend(Backend):
 # -- context building ---------------------------------------------------------
 
 
+@dataclass(eq=False, repr=False)
 class Concatenator(Transformer):
     """R -> Qc: per query, renders the top documents into one context string.
 
@@ -272,40 +280,28 @@ class Concatenator(Transformer):
     empty.
     """
 
-    def __init__(
-        self,
-        k_docs: int | None = None,
-        fields: Sequence[str] = ("text",),
-        per_doc_char_budget: int = 1500,
-        total_char_budget: int = 6000,
-        item_template: str | None = None,
-        item_separator: str = "\n\n",
-    ) -> None:
-        if k_docs is not None:
-            check_positive(k_docs, "k_docs")
-        if item_template is None:
-            item_template = "\n".join("{%s}" % f for f in fields)
+    k_docs: int | None = None
+    fields: Sequence[str] = ("text",)
+    per_doc_char_budget: int = 1500
+    total_char_budget: int = 6000
+    item_template: str | None = None
+    item_separator: str = "\n\n"
+
+    signature = Signature(SemType.R, SemType.QC)
+    name = "concat"
+
+    def __post_init__(self) -> None:
+        if self.k_docs is not None:
+            check_positive(self.k_docs, "k_docs")
+        check_positive(self.per_doc_char_budget, "per_doc_char_budget")
+        check_positive(self.total_char_budget, "total_char_budget")
+        self.fields = tuple(self.fields)
+        if self.item_template is None:
+            self.item_template = "\n".join("{%s}" % f for f in self.fields)
         _check_placeholders(
-            item_template, {"title", "text", "ordinal", *fields}, "item_template"
+            self.item_template, {"title", "text", "ordinal", *self.fields},
+            "item_template",
         )
-        super().__init__(
-            Signature(SemType.R, SemType.QC),
-            "concat",
-            params=(
-                ("k_docs", k_docs),
-                ("fields", tuple(fields)),
-                ("per_doc_char_budget", per_doc_char_budget),
-                ("total_char_budget", total_char_budget),
-                ("item_template", item_template),
-                ("item_separator", item_separator),
-            ),
-        )
-        self.k_docs = k_docs
-        self.fields = tuple(fields)
-        self.per_doc_char_budget = per_doc_char_budget
-        self.total_char_budget = total_char_budget
-        self.item_template = item_template
-        self.item_separator = item_separator
 
     def apply(self, frame: Frame) -> Frame:
         groups: dict[str, list[dict]] = {}
@@ -313,9 +309,7 @@ class Concatenator(Transformer):
             groups.setdefault(row["qid"], []).append(row)
         out = []
         for qid in sorted(groups):
-            rows = groups[qid]
-            if any("rank" in r for r in rows):
-                rows = sorted(rows, key=lambda r: r["rank"])
+            rows = rank_ordered(groups[qid])
             if self.k_docs is not None:
                 rows = rows[: self.k_docs]
             if "query" not in groups[qid][0]:
@@ -342,17 +336,15 @@ class Concatenator(Transformer):
 concatenate_context = Concatenator
 
 
+@dataclass(eq=False, repr=False)
 class PromptRenderer(Transformer):
     """Qc -> Qc: adds (or overwrites) a `prompt` column; query and qcontext
     pass through untouched."""
 
-    def __init__(self, template: PromptTemplate) -> None:
-        super().__init__(
-            Signature(SemType.QC, SemType.QC),
-            "prompt",
-            params=_template_params(template),
-        )
-        self.template = template
+    template: PromptTemplate
+
+    signature = Signature(SemType.QC, SemType.QC)
+    name = "prompt"
 
     def apply(self, frame: Frame) -> Frame:
         rows = []
@@ -366,10 +358,6 @@ class PromptRenderer(Transformer):
 
 
 render_prompt = PromptRenderer
-
-
-def _template_params(template: PromptTemplate) -> tuple:
-    return (("system", template.system), ("user_template", template.user_template))
 
 
 def _fit_prompt(template: PromptTemplate, query: str, qcontext: str,
@@ -408,18 +396,15 @@ def _generate(backend: Backend, template: PromptTemplate,
     return answers
 
 
+@dataclass(eq=False, repr=False)
 class _Answerer(Transformer):
     # Shared by Reader and ZeroShot: rows in qid order, one prompt each
     # (a zero-shot template has no {context}, so qcontext is never used)
-    def __init__(self, signature: Signature, name: str, backend: Backend,
-                 template: PromptTemplate) -> None:
-        super().__init__(
-            signature,
-            name,
-            params=(("backend", backend.descriptor),) + _template_params(template),
-        )
-        self.backend = backend
-        self.template = template
+    backend: Backend
+    template: PromptTemplate | None = None
+
+    def __post_init__(self) -> None:
+        self.template = self.template or self.default_template
 
     def apply(self, frame: Frame) -> Frame:
         rows = sorted(frame.rows, key=lambda r: r["qid"])
@@ -444,9 +429,9 @@ class Reader(_Answerer):
     instructions alone do not fit, the stage fails with TemplateError.
     """
 
-    def __init__(self, backend: Backend, template: PromptTemplate | None = None) -> None:
-        super().__init__(Signature(SemType.QC, SemType.A), "reader", backend,
-                         template or DEFAULT_RAG_TEMPLATE)
+    signature = Signature(SemType.QC, SemType.A)
+    name = "reader"
+    default_template = DEFAULT_RAG_TEMPLATE
 
 
 reader = Reader
@@ -455,13 +440,16 @@ reader = Reader
 class ZeroShot(_Answerer):
     """Q -> A: direct answer generation with no retrieved context."""
 
-    def __init__(self, backend: Backend, template: PromptTemplate | None = None) -> None:
-        template = template or DEFAULT_ZERO_SHOT_TEMPLATE
-        if "{context}" in template.user_template:
+    signature = Signature(SemType.Q, SemType.A)
+    name = "zero_shot"
+    default_template = DEFAULT_ZERO_SHOT_TEMPLATE
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if "{context}" in self.template.user_template:
             raise TemplateError(
                 "zero-shot template must not use {context}; there is none"
             )
-        super().__init__(Signature(SemType.Q, SemType.A), "zero_shot", backend, template)
 
 
 zero_shot = ZeroShot
@@ -472,24 +460,29 @@ zero_shot = ZeroShot
 DEFAULT_EXIT_PHRASE = "so the answer is"
 
 
-def phrase_exit(phrase: str = DEFAULT_EXIT_PHRASE) -> Callable[[dict], bool]:
+@dataclass(frozen=True)
+class PhraseExit:
     """Exit predicate: true when the generated step contains the phrase
-    (case-insensitive). Carries a stable identity so pipelines using it
-    compare equal structurally."""
+    (case-insensitive). Predicates over the same phrase are equal, so
+    pipelines using them compare equal structurally."""
 
-    lowered = phrase.lower()
+    phrase: str = DEFAULT_EXIT_PHRASE
 
-    def condition(row: dict) -> bool:
-        return lowered in row["qanswer"].lower()
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "phrase", self.phrase.lower())
 
-    condition._ragkit_key = ("phrase_exit", lowered)
-    return condition
+    def __call__(self, row: dict) -> bool:
+        return self.phrase in row["qanswer"].lower()
+
+
+phrase_exit = PhraseExit
 
 
 def _strip_answer(text: str) -> str:
     return text.strip().rstrip(string.punctuation + " \t\r\n").strip()
 
 
+@dataclass(eq=False, repr=False)
 class IterativeRetriever(Transformer):
     """Q -> A: interleaved retrieval and generation.
 
@@ -507,50 +500,32 @@ class IterativeRetriever(Transformer):
     the loop count.
     """
 
-    def __init__(
-        self,
-        retriever: Transformer,
-        backend: Backend,
-        template: PromptTemplate | None = None,
-        exit_condition: Callable[[dict], bool] | None = None,
-        exit_phrase: str = DEFAULT_EXIT_PHRASE,
-        max_iterations: int = 4,
-        docs_per_iteration: int = 4,
-        fields: Sequence[str] = ("text",),
-    ) -> None:
-        sig = type_check(retriever)
+    retriever: Transformer
+    backend: Backend
+    template: PromptTemplate | None = None
+    exit_condition: Callable[[dict], bool] | None = None
+    exit_phrase: str = DEFAULT_EXIT_PHRASE
+    max_iterations: int = 4
+    docs_per_iteration: int = 4
+    fields: Sequence[str] = ("text",)
+
+    signature = Signature(SemType.Q, SemType.A)
+    name = "ircot"
+
+    def __post_init__(self) -> None:
+        sig = type_check(self.retriever)
         if sig.input is not SemType.Q or sig.output is not SemType.R:
             raise TypeMismatch(Signature(SemType.Q, SemType.R), sig, "ircot.retriever")
-        check_positive(max_iterations, "max_iterations")
-        check_positive(docs_per_iteration, "docs_per_iteration")
-        template = template or DEFAULT_ITERATIVE_TEMPLATE
-        if exit_condition is None:
-            exit_condition = phrase_exit(exit_phrase)
-        cond_key = getattr(exit_condition, "_ragkit_key", None) or id(exit_condition)
-        super().__init__(
-            Signature(SemType.Q, SemType.A),
-            "ircot",
-            params=(
-                ("retriever", retriever._key()),
-                ("backend", backend.descriptor),
-                ("exit", cond_key),
-                ("exit_phrase", exit_phrase.lower()),
-                ("max_iterations", max_iterations),
-                ("docs_per_iteration", docs_per_iteration),
-                ("fields", tuple(fields)),
-            ) + _template_params(template),
-        )
-        self.retriever = retriever
-        self.backend = backend
-        self.template = template
-        self.exit_condition = exit_condition
-        self.exit_phrase = exit_phrase.lower()
-        self.max_iterations = max_iterations
-        self.docs_per_iteration = docs_per_iteration
+        check_positive(self.max_iterations, "max_iterations")
+        check_positive(self.docs_per_iteration, "docs_per_iteration")
+        self.template = self.template or DEFAULT_ITERATIVE_TEMPLATE
+        self.exit_phrase = self.exit_phrase.lower()
+        self.exit_condition = self.exit_condition or phrase_exit(self.exit_phrase)
+        self.fields = tuple(self.fields)
         # budgets at the backend's limit never cut what the prompt fitting
         # would keep, so the context is cut only once, to fit the prompt
-        limit = backend.max_input_chars
-        self.concat = Concatenator(fields=fields, per_doc_char_budget=limit,
+        limit = self.backend.max_input_chars
+        self.concat = Concatenator(fields=self.fields, per_doc_char_budget=limit,
                                    total_char_budget=limit)
 
     def apply(self, frame: Frame) -> Frame:
@@ -568,10 +543,7 @@ class IterativeRetriever(Transformer):
         for _ in range(self.max_iterations):
             iterations += 1
             q = Frame(SemType.Q, [{"qid": qid, "query": current_query}])
-            results = run(self.retriever, q)
-            rows = list(results.rows)
-            if any("rank" in r for r in rows):
-                rows = sorted(rows, key=lambda r: r["rank"])
+            rows = rank_ordered(run(self.retriever, q).rows)
             for r in rows[: self.docs_per_iteration]:
                 if r["docno"] not in seen:
                     seen.add(r["docno"])

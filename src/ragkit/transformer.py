@@ -20,17 +20,18 @@ Pipelines are trees built from four combinators, each with an operator:
 
 Structural equality of pipelines (==) compares tree shape modulo the
 associativity of `then`, node parameters (weights, k) and, at the leaves,
-(name, params). Two separately constructed but identical pipelines compare
-equal; this is the basis of shared-prefix detection in experiments.
+the name and the constructor arguments. Two separately constructed but
+identical pipelines compare equal; this is the basis of shared-prefix
+detection in experiments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 from .errors import PipelineError, TypeMismatch, check_positive
-from .frame import Frame, SemType, assign_ranks, validate
+from .frame import Frame, SemType, assign_ranks, rank_ordered, validate
 
 
 class _Terminal:
@@ -76,7 +77,19 @@ FAMILIES: frozenset[tuple] = frozenset(
 )
 
 
+def _check_family(signature: Signature) -> None:
+    pair = (signature.input, signature.output)
+    if pair not in FAMILIES and signature.input is not signature.output:
+        raise TypeMismatch(
+            "a supported transformer family or T -> T identity", signature
+        )
+
+
 def _freeze(value):
+    """A hashable identity for a parameter value. A transformer, an index
+    or a backend is keyed by its own _key()."""
+    if hasattr(type(value), "_key"):
+        return value._key()
     if isinstance(value, (list, tuple)):
         return tuple(_freeze(v) for v in value)
     if isinstance(value, dict):
@@ -87,27 +100,25 @@ def _freeze(value):
 class Transformer:
     """Base for pipeline leaves: a signature plus an apply function.
 
-    `name` and `params` define structural identity; two leaves with equal
-    (name, params) are interchangeable for prefix sharing, so params must
-    capture everything that affects the output. Subclasses override
-    :meth:`apply`; internal state must be read-only after construction so
-    concurrent applies are safe.
+    A leaf is a dataclass whose class attributes `signature` and `name` say
+    what it is, and whose fields, its constructor parameters, are its
+    structural identity: two leaves with the same name and equal fields are
+    equal and hash alike, so they are interchangeable for prefix sharing.
+    A field holding a transformer, an index or a backend compares by that
+    value's own _key(): its structure, its content fingerprint, or its
+    descriptor and settings. Fields must therefore capture everything that
+    affects the output; checks, defaults and derived state belong in
+    __post_init__, so a default left out equals the same value given.
+    FnTransformer, which wraps a function, is keyed by its name and params
+    instead. Subclasses override :meth:`apply`; state must be read-only
+    after construction so concurrent applies are safe.
     """
 
-    def __init__(
-        self,
-        signature: Signature,
-        name: str,
-        params: Sequence[tuple[str, object]] = (),
-    ) -> None:
-        pair = (signature.input, signature.output)
-        if pair not in FAMILIES and signature.input is not signature.output:
-            raise TypeMismatch(
-                "a supported transformer family or T -> T identity", signature
-            )
-        self.signature = signature
-        self.name = name
-        self.params = tuple((k, _freeze(v)) for k, v in params)
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        signature = cls.__dict__.get("signature")
+        if isinstance(signature, Signature):
+            _check_family(signature)
 
     def apply(self, frame: Frame) -> Frame:
         raise NotImplementedError
@@ -132,7 +143,9 @@ class Transformer:
     # -- structural identity ---------------------------------------------
 
     def _key(self) -> tuple:
-        return ("leaf", self.name, self.params)
+        return ("leaf", self.name, tuple(
+            (f.name, _freeze(getattr(self, f.name))) for f in fields(self)
+        ))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Transformer):
@@ -151,11 +164,17 @@ class FnTransformer(Transformer):
     and test mocks."""
 
     def __init__(self, signature, name, fn: Callable[[Frame], Frame], params=()):
-        super().__init__(signature, name, params)
+        _check_family(signature)
+        self.signature = signature
+        self.name = name
+        self.params = tuple((k, _freeze(v)) for k, v in params)
         self._fn = fn
 
     def apply(self, frame: Frame) -> Frame:
         return self._fn(frame)
+
+    def _key(self) -> tuple:
+        return ("leaf", self.name, self.params)
 
 
 def identity(semtype: SemType) -> FnTransformer:
@@ -176,25 +195,18 @@ def identity(semtype: SemType) -> FnTransformer:
 
 
 class _Composite(Transformer):
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.params = ()
-
     @property
-    def signature(self) -> Signature:  # type: ignore[override]
+    def signature(self) -> Signature:
         return type_check(self)
-
-    @signature.setter
-    def signature(self, value):  # pragma: no cover - composites never set it
-        raise AttributeError("composite signatures are derived, not set")
 
     def apply(self, frame: Frame) -> Frame:
         return _eval(self, frame, (), None)
 
 
 class Then(_Composite):
+    name = "then"
+
     def __init__(self, left: Transformer, right: Transformer) -> None:
-        super().__init__("then")
         self.left = left
         self.right = right
 
@@ -212,6 +224,8 @@ class Then(_Composite):
 
 
 class CombineSum(_Composite):
+    name = "combine_sum"
+
     def __init__(
         self,
         left: Transformer,
@@ -219,7 +233,6 @@ class CombineSum(_Composite):
         weight_left: float = 1.0,
         weight_right: float = 1.0,
     ) -> None:
-        super().__init__("combine_sum")
         self.left = left
         self.right = right
         self.weight_left = float(weight_left)
@@ -236,8 +249,9 @@ class CombineSum(_Composite):
 
 
 class SetUnion(_Composite):
+    name = "set_union"
+
     def __init__(self, left: Transformer, right: Transformer) -> None:
-        super().__init__("set_union")
         self.left = left
         self.right = right
 
@@ -246,8 +260,9 @@ class SetUnion(_Composite):
 
 
 class RankCutoff(_Composite):
+    name = "rank_cutoff"
+
     def __init__(self, child: Transformer, k: int) -> None:
-        super().__init__("rank_cutoff")
         self.child = child
         self.k = k
 
@@ -465,7 +480,7 @@ def _merge_union(a: Frame, b: Frame) -> Frame:
     seen: set[tuple[str, str]] = set()
     rows = []
     for frame in (a, b):
-        for row in _rank_ordered(frame):
+        for row in rank_ordered(frame.rows):
             key = (row["qid"], row["docno"])
             if key in seen:
                 continue
@@ -475,13 +490,6 @@ def _merge_union(a: Frame, b: Frame) -> Frame:
                 out["query"] = queries[row["qid"]]
             rows.append(out)
     return Frame(SemType.R, rows)
-
-
-def _rank_ordered(frame: Frame) -> list[dict]:
-    # rank order when ranks exist, row order otherwise (candidate sets)
-    if any("rank" in r for r in frame.rows):
-        return sorted(frame.rows, key=lambda r: (r["qid"], r["rank"]))
-    return list(frame.rows)
 
 
 def _cutoff(frame: Frame, k: int) -> Frame:

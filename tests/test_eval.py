@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,8 +27,8 @@ from ragkit.eval import (
     resolve_measures,
 )
 from ragkit.frame import Frame, SemType, assign_ranks
-from ragkit.rag import StubBackend, concatenate_context, reader, zero_shot
-from ragkit.transformer import FnTransformer, Signature
+from ragkit.rag import HttpBackend, StubBackend, concatenate_context, reader, zero_shot
+from ragkit.transformer import FnTransformer, Signature, run
 
 from conftest import counted, counting_retriever, mock_retriever, reranker
 
@@ -353,6 +354,38 @@ class TestExperiment:
         assert calls["applies"] == 2 and calls["rows"] == 6
         assert shared.aggregates == unshared.aggregates
         assert shared.per_query == unshared.per_query
+
+    def test_backends_that_answer_differently_are_never_shared(self):
+        class EchoSession:
+            """Answers each chat request with its URL, its temperature and
+            the length of its prompt."""
+
+            def post(self, url, json, headers, timeout):
+                prompt = json["messages"][1]["content"]
+                answer = f"{url} {json['temperature']} {len(prompt)}"
+                body = {"choices": [{"message": {"content": answer}}]}
+                return SimpleNamespace(status_code=200, json=lambda: body)
+
+        def rag(**settings):
+            backend = HttpBackend("m", session=EchoSession(),
+                                  **{"base_url": "http://a", **settings})
+            return (mock_retriever({q["qid"]: [("d1", 1.0)] for q in TOPICS.rows})
+                    >> concatenate_context(fields=("query",)) >> reader(backend))
+
+        base = run(rag(), TOPICS)
+        gold = Frame(SemType.GA, [
+            {"qid": r["qid"], "ganswer": [r["qanswer"]]} for r in base.rows])
+        # 50 chars fit each question but cut its context
+        systems = [("base", rag()), ("short", rag(max_input_chars=50)),
+                   ("warm", rag(temperature=0.7)), ("other", rag(base_url="http://b"))]
+        reports = [experiment(systems, TOPICS, gold, baseline="base", share_prefix=share)
+                   .to_dict() for share in (True, False)]
+        for report in reports:
+            report.pop("timing")
+            assert report["aggregates"]["base"]["EM"] == 1.0
+            assert all(report["aggregates"][name]["EM"] == 0.0
+                       for name, _ in systems[1:])
+        assert reports[0] == reports[1]
 
     def test_batching_matches_single_pass(self):
         ret = mock_retriever({q["qid"]: [("d1", 1.0)] for q in TOPICS.rows})

@@ -134,6 +134,10 @@ class TestParseErrors:
             ("concat(docs=-1)", "k_docs > 0"),
             ("ircot(docs=-1)", "docs_per_iteration > 0"),
             ("ircot(iters=0)", "max_iterations > 0"),
+            ("bm25(k=2.5)", "k > 0"),
+            ("ircot(iters=1.5)", "max_iterations > 0"),
+            ("ircot(docs=true)", "docs_per_iteration > 0"),
+            ("concat(docs=2.5)", "k_docs > 0"),
             ("concat(docs)", "expected '='"),
             ('concat(sep="oops)', "unterminated"),
             ("bm25 bm25", "trailing"),

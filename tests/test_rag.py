@@ -188,8 +188,9 @@ class TestConcatenator:
 
     def test_k_docs_must_be_none_or_a_positive_int(self):
         for bad in (0, -1, 1.5, True, "2"):
-            with pytest.raises(InvalidK, match="k_docs"):
-                concatenate_context(k_docs=bad)
+            for name in ("k_docs", "per_doc_char_budget", "total_char_budget"):
+                with pytest.raises(InvalidK, match=name):
+                    concatenate_context(**{name: bad})
 
     def test_empty_input(self):
         out = run(concatenate_context(), Frame(SemType.R, ()))

@@ -13,6 +13,7 @@ from ragkit.transformer import (
     SetUnion,
     Signature,
     Then,
+    Transformer,
     chain,
     combine_sum,
     components,
@@ -53,6 +54,9 @@ class TestLeaves:
             FnTransformer(Signature(SemType.A, SemType.Q), "bad", lambda f: f)
         with pytest.raises(TypeMismatch):
             FnTransformer(Signature(SemType.R, SemType.D), "bad", lambda f: f)
+        with pytest.raises(TypeMismatch):
+            class Bad(Transformer):
+                signature = Signature(SemType.A, SemType.Q)
 
     def test_params_are_frozen_and_hashable(self):
         t = FnTransformer(Signature(SemType.Q, SemType.R), "t", lambda f: f,
