@@ -26,7 +26,7 @@ from .datasets import (
     load_topics,
     run_lines,
 )
-from .errors import RagkitError
+from .errors import RagkitError, check_positive
 from .eval import experiment, resolve_measures
 from .exprs import Env, parse
 from .frame import Frame, SemType
@@ -132,6 +132,7 @@ def cmd_index(args) -> int:
 def cmd_search(args) -> int:
     from .index import BM25Params, bm25_retriever
 
+    check_positive(args.k)  # named as the -k flag, and before the index loads
     idx = InvertedIndex.load(args.index)
     if args.query is not None:
         topics = Frame(SemType.Q, [{"qid": "1", "query": args.query}])

@@ -63,6 +63,7 @@ class InvalidK(RagkitError, ValueError):
 
     def __init__(self, k, name: str = "k"):
         self.k = k
+        self.name = name
         super().__init__(f"{name} must be a positive int ({name} > 0), got {k!r}")
 
 

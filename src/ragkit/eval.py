@@ -23,7 +23,7 @@ import re
 import string
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 from scipy import stats as _scipy_stats
@@ -203,17 +203,7 @@ class ExperimentReport:
     timing: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "systems": self.systems,
-            "measures": self.measures,
-            "aggregates": self.aggregates,
-            "per_query": self.per_query,
-            "significance": self.significance,
-            "baseline": self.baseline,
-            "correction": self.correction,
-            "warnings": self.warnings,
-            "timing": self.timing,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

@@ -62,6 +62,16 @@ _NUMBER_RE = re.compile(r"[-+]?\d+(\.\d+)?([eE][-+]?\d+)?")
 _BARE_RE = re.compile(r"[^\s,()=%|>]+")
 _INT_RE = re.compile(r"\d+")
 
+# The binary operators, loosest first: symbol, combinator, node class. The
+# parser and the printer take precedence from this order; "%" binds tighter
+# still, at level _CUT, and is parsed apart as its operand is an integer.
+_BINARY = (
+    (">>", then, Then),
+    ("|", set_union, SetUnion),
+    ("+", combine_sum, CombineSum),
+)
+_CUT = len(_BINARY)
+
 
 @dataclass
 class Env:
@@ -119,12 +129,9 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def _peek(self, token: str) -> bool:
-        self._ws()
-        return self.text.startswith(token, self.pos)
-
     def _eat(self, token: str) -> bool:
-        if self._peek(token):
+        self._ws()
+        if self.text.startswith(token, self.pos):
             self.pos += len(token)
             return True
         return False
@@ -136,7 +143,7 @@ class _Parser:
     # -- grammar -------------------------------------------------------------
 
     def parse(self) -> Transformer:
-        node = self._pipeline()
+        node = self._binary(0)
         self._ws()
         if self.pos != len(self.text):
             raise ExprError(
@@ -145,32 +152,19 @@ class _Parser:
             )
         return node
 
-    def _pipeline(self) -> Transformer:
-        node = self._union()
-        while self._eat(">>"):
-            node = then(node, self._union())
-        return node
-
-    def _union(self) -> Transformer:
-        node = self._sum()
-        while self._eat("|"):
-            node = set_union(node, self._sum())
-        return node
-
-    def _sum(self) -> Transformer:
-        node = self._cut()
-        while self._eat("+"):
-            node = combine_sum(node, self._cut())
+    def _binary(self, level: int) -> Transformer:
+        """Operands of the operator at `level` of _BINARY, left-associated."""
+        if level == _CUT:
+            return self._cut()
+        symbol, combine, _ = _BINARY[level]
+        node = self._binary(level + 1)
+        while self._eat(symbol):
+            node = combine(node, self._binary(level + 1))
         return node
 
     def _cut(self) -> Transformer:
         node = self._atom()
-        while True:
-            self._ws()
-            # ">>" starts with ">", not "%": safe to test "%" directly
-            if not self._peek("%"):
-                return node
-            self._eat("%")
+        while self._eat("%"):
             self._ws()
             m = _INT_RE.match(self.text, self.pos)
             if not m:
@@ -182,11 +176,12 @@ class _Parser:
                 node = rank_cutoff(node, k)
             except InvalidK:
                 raise ExprError(f"cutoff must be positive, got {k}", offset) from None
+        return node
 
     def _atom(self) -> Transformer:
         self._ws()
         if self._eat("("):
-            node = self._pipeline()
+            node = self._binary(0)
             self._expect(")")
             return node
         return self._stage()
@@ -283,12 +278,15 @@ def _fields_list(value) -> tuple[str, ...]:
     raise ValueError(f"expected a field list, got {value!r}")
 
 
-def _take(args: dict, **names: str) -> dict:
+def _take(args: dict, offsets: dict, **names: str) -> dict:
     """Constructor keyword arguments, as parameter=value, for each
     parameter=argument pair of `names` whose argument the expression gives;
     values pass unchanged, so the constructor checks them and supplies
-    its own defaults."""
-    return {param: args.pop(arg) for param, arg in names.items() if arg in args}
+    its own defaults. Each such parameter's offset is recorded under its own
+    name as well, so an error that names the parameter can be placed."""
+    taken = {param: arg for param, arg in names.items() if arg in args}
+    offsets.update({param: offsets[arg] for param, arg in taken.items()})
+    return {param: args.pop(arg) for param, arg in taken.items()}
 
 
 def _template_from_args(args: dict, default: PromptTemplate) -> PromptTemplate:
@@ -313,6 +311,10 @@ def _build_stage(
         ) from None
     except ExprError:
         raise
+    except InvalidK as exc:
+        # reported at the argument that set the count
+        at = offsets.get(exc.name, offset)
+        raise ExprError(f"bad arguments for {name}: {exc}", at) from None
     except (TypeError, ValueError, AttributeError) as exc:
         raise ExprError(f"bad arguments for {name}: {exc}", offset) from None
     if args:
@@ -327,10 +329,11 @@ def _stage_bm25(args, offsets, offset, env):
     # pass fields="" to index-only rows
     return BM25Retriever(
         env.index(offset),
-        BM25Params(**_take(args, k1="k1", b="b")),
+        BM25Params(**_take(args, offsets, k1="k1", b="b")),
         include_fields=_fields_list(args.pop("fields", "text")),
         # k is the short name of num_results and wins when both are given
-        **_take(args, num_results="num_results") | _take(args, num_results="k"),
+        **_take(args, offsets, num_results="num_results")
+        | _take(args, offsets, num_results="k"),
     )
 
 
@@ -339,8 +342,8 @@ def _stage_attach(args, offsets, offset, env):
 
 
 def _stage_concat(args, offsets, offset, env):
-    kwargs = _take(args, k_docs="docs", fields="fields", per_doc_char_budget="per_doc",
-                   total_char_budget="total", item_separator="sep")
+    kwargs = _take(args, offsets, k_docs="docs", fields="fields", item_separator="sep",
+                   per_doc_char_budget="per_doc", total_char_budget="total")
     if "fields" in kwargs:
         kwargs["fields"] = _fields_list(kwargs["fields"])
     return Concatenator(**kwargs)
@@ -370,12 +373,13 @@ def _stage_ircot(args, offsets, offset, env):
     backend = env.backend(str(spec), offsets.get("backend", offset))
     # the loop's retriever attaches the fields its context is built from
     fields = _fields_list(args.pop("fields", "text"))
-    retriever = BM25Retriever(env.index(offset), num_results=args.pop("k", 100),
-                              include_fields=fields)
+    retriever = BM25Retriever(
+        env.index(offset), include_fields=fields,
+        **{"num_results": 100} | _take(args, offsets, num_results="k"))
     template = _template_from_args(args, DEFAULT_ITERATIVE_TEMPLATE)
     return IterativeRetriever(
         retriever, backend, template, fields=fields,
-        **_take(args, exit_phrase="exit", max_iterations="iters",
+        **_take(args, offsets, exit_phrase="exit", max_iterations="iters",
                 docs_per_iteration="docs"),
     )
 
@@ -393,21 +397,6 @@ _STAGES = {
 
 # -- printing ------------------------------------------------------------------
 
-_LEVEL_THEN, _LEVEL_UNION, _LEVEL_SUM, _LEVEL_CUT, _LEVEL_LEAF = range(5)
-
-
-def _level(node: Transformer) -> int:
-    if isinstance(node, Then):
-        return _LEVEL_THEN
-    if isinstance(node, SetUnion):
-        return _LEVEL_UNION
-    if isinstance(node, CombineSum):
-        return _LEVEL_SUM
-    if isinstance(node, RankCutoff):
-        return _LEVEL_CUT
-    return _LEVEL_LEAF
-
-
 def print_expr(node: Transformer) -> str:
     """Render a pipeline back to expression syntax.
 
@@ -415,29 +404,21 @@ def print_expr(node: Transformer) -> str:
     parser-built p (leaves remember their source form). Leaves built in
     code render as their bare stage name.
     """
-    return _render(node, _LEVEL_THEN)
+    return _render(node, 0)
 
 
 def _render(node: Transformer, context: int) -> str:
-    level = _level(node)
-    if isinstance(node, Then):
-        text = " >> ".join(_render(c, _LEVEL_UNION) for c in components(node))
-    elif isinstance(node, SetUnion):
-        text = (
-            _render(node.left, _LEVEL_UNION)
-            + " | "
-            + _render(node.right, _LEVEL_SUM)
-        )
-    elif isinstance(node, CombineSum):
-        text = (
-            _render(node.left, _LEVEL_SUM)
-            + " + "
-            + _render(node.right, _LEVEL_CUT)
-        )
-    elif isinstance(node, RankCutoff):
-        text = _render(node.child, _LEVEL_CUT) + f" % {node.k}"
+    """node's text, in parentheses if it binds looser than level `context`."""
+    for level, (symbol, _, cls) in enumerate(_BINARY):
+        if isinstance(node, cls):
+            # a `then` spine prints flat: == ignores how it associates
+            head, *rest = components(node) if cls is Then else (node.left, node.right)
+            text = f" {symbol} ".join(
+                [_render(head, level)] + [_render(r, level + 1) for r in rest]
+            )
+            break
     else:
-        text = getattr(node, "_expr_src", node.name)
-    if level < context:
-        return f"({text})"
-    return text
+        if not isinstance(node, RankCutoff):
+            return getattr(node, "_expr_src", node.name)
+        level, text = _CUT, f"{_render(node.child, _CUT)} % {node.k}"
+    return f"({text})" if level < context else text

@@ -65,25 +65,19 @@ _INDEX_FILES = frozenset((MANIFEST, *_V1_FILES, *(f"{n}.json" for n in _JSON_PAR
                           *(f"{n}.npy" for n in _ARRAYS)))
 
 
+@dataclass(frozen=True)
 class Tokenizer:
-    __slots__ = ("stopwords",)
+    stopwords: Iterable[str] = ()
 
-    def __init__(self, stopwords: Iterable[str] = ()) -> None:
-        self.stopwords = frozenset(w.lower() for w in stopwords)
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "stopwords", frozenset(w.lower() for w in self.stopwords))
 
     def tokenize(self, text: str) -> list[str]:
         tokens = _TOKEN_RE.findall(text.lower())
         if self.stopwords:
             tokens = [t for t in tokens if t not in self.stopwords]
         return tokens
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tokenizer):
-            return NotImplemented
-        return self.stopwords == other.stopwords
-
-    def __hash__(self) -> int:
-        return hash(self.stopwords)
 
 
 @dataclass(frozen=True)
@@ -436,7 +430,7 @@ class BM25Retriever(Transformer):
     name = "bm25"
 
     def __post_init__(self) -> None:
-        check_positive(self.num_results)
+        check_positive(self.num_results, "num_results")
         self.bm25 = self.bm25 or BM25Params()
         self.include_fields = tuple(self.include_fields)
         # per-doc length norm: the same IEEE operations as bm25_score's

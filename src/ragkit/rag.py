@@ -295,6 +295,12 @@ class Concatenator(Transformer):
             check_positive(self.k_docs, "k_docs")
         check_positive(self.per_doc_char_budget, "per_doc_char_budget")
         check_positive(self.total_char_budget, "total_char_budget")
+        if not isinstance(self.item_separator, str):
+            raise TypeError(
+                f"item_separator must be a str, got {self.item_separator!r}")
+        if not isinstance(self.item_template, (str, type(None))):
+            raise TypeError(
+                f"item_template must be None or a str, got {self.item_template!r}")
         self.fields = tuple(self.fields)
         if self.item_template is None:
             self.item_template = "\n".join("{%s}" % f for f in self.fields)
@@ -339,7 +345,9 @@ concatenate_context = Concatenator
 @dataclass(eq=False, repr=False)
 class PromptRenderer(Transformer):
     """Qc -> Qc: adds (or overwrites) a `prompt` column; query and qcontext
-    pass through untouched."""
+    pass through untouched. The column is for inspection and for custom
+    stages: reader and zero_shot build each prompt from their own template
+    and never read it."""
 
     template: PromptTemplate
 

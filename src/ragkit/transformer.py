@@ -18,11 +18,13 @@ Pipelines are trees built from four combinators, each with an operator:
     a | b    union       set union of two result lists (drops scores)
     a % k    cutoff      keep the first k ranked results per query
 
-Structural equality of pipelines (==) compares tree shape modulo the
-associativity of `then`, node parameters (weights, k) and, at the leaves,
-the name and the constructor arguments. Two separately constructed but
-identical pipelines compare equal; this is the basis of shared-prefix
-detection in experiments.
+Every node, composite or leaf, is a dataclass whose fields (its
+constructor parameters: operands, weights, k, stage arguments) are its
+identity, so structural equality (==) compares node names and fields all
+the way down. `then` is flattened: its spine compares as a sequence with
+identity stages dropped, so it is associative under == and identities are
+neutral. Two separately constructed but identical pipelines compare equal;
+this is the basis of shared-prefix detection in experiments.
 """
 
 from __future__ import annotations
@@ -98,20 +100,22 @@ def _freeze(value):
 
 
 class Transformer:
-    """Base for pipeline leaves: a signature plus an apply function.
+    """Base for pipeline nodes: a signature plus an apply function.
 
-    A leaf is a dataclass whose class attributes `signature` and `name` say
-    what it is, and whose fields, its constructor parameters, are its
-    structural identity: two leaves with the same name and equal fields are
-    equal and hash alike, so they are interchangeable for prefix sharing.
+    Every node, composite or leaf, is a dataclass whose class attributes
+    `signature` and `name` say what it is, and whose fields, its constructor
+    parameters, are its structural identity: two nodes with the same name
+    and equal fields are equal and hash alike, so they are interchangeable
+    for prefix sharing. A composite's signature is derived from its operands,
+    and `then` compares by its flattened spine, without identity stages.
     A field holding a transformer, an index or a backend compares by that
     value's own _key(): its structure, its content fingerprint, or its
     descriptor and settings. Fields must therefore capture everything that
     affects the output; checks, defaults and derived state belong in
     __post_init__, so a default left out equals the same value given.
     FnTransformer, which wraps a function, is keyed by its name and params
-    instead. Subclasses override :meth:`apply`; state must be read-only
-    after construction so concurrent applies are safe.
+    instead. Leaves override :meth:`apply`; state must be read-only after
+    construction so concurrent applies are safe.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -199,16 +203,17 @@ class _Composite(Transformer):
     def signature(self) -> Signature:
         return type_check(self)
 
-    def apply(self, frame: Frame) -> Frame:
-        return _eval(self, frame, (), None)
+    def _key(self) -> tuple:
+        # led by the node's name, so never equal to a ("leaf", ...) key
+        return (self.name, *(_freeze(getattr(self, f.name)) for f in fields(self)))
 
 
+@dataclass(eq=False, repr=False)
 class Then(_Composite):
-    name = "then"
+    left: Transformer
+    right: Transformer
 
-    def __init__(self, left: Transformer, right: Transformer) -> None:
-        self.left = left
-        self.right = right
+    name = "then"
 
     def _key(self) -> tuple:
         # Flattening the spine makes `then` associative under ==, and
@@ -223,51 +228,34 @@ class Then(_Composite):
         return ("then", tuple(kept))
 
 
+@dataclass(eq=False, repr=False)
 class CombineSum(_Composite):
+    left: Transformer
+    right: Transformer
+    weight_left: float = 1.0
+    weight_right: float = 1.0
+
     name = "combine_sum"
 
-    def __init__(
-        self,
-        left: Transformer,
-        right: Transformer,
-        weight_left: float = 1.0,
-        weight_right: float = 1.0,
-    ) -> None:
-        self.left = left
-        self.right = right
-        self.weight_left = float(weight_left)
-        self.weight_right = float(weight_right)
-
-    def _key(self) -> tuple:
-        return (
-            "combine_sum",
-            self.left._key(),
-            self.right._key(),
-            self.weight_left,
-            self.weight_right,
-        )
+    def __post_init__(self) -> None:
+        self.weight_left = float(self.weight_left)
+        self.weight_right = float(self.weight_right)
 
 
+@dataclass(eq=False, repr=False)
 class SetUnion(_Composite):
+    left: Transformer
+    right: Transformer
+
     name = "set_union"
 
-    def __init__(self, left: Transformer, right: Transformer) -> None:
-        self.left = left
-        self.right = right
 
-    def _key(self) -> tuple:
-        return ("set_union", self.left._key(), self.right._key())
-
-
+@dataclass(eq=False, repr=False)
 class RankCutoff(_Composite):
+    child: Transformer
+    k: int
+
     name = "rank_cutoff"
-
-    def __init__(self, child: Transformer, k: int) -> None:
-        self.child = child
-        self.k = k
-
-    def _key(self) -> tuple:
-        return ("rank_cutoff", self.child._key(), self.k)
 
 
 def components(p: Transformer) -> list[Transformer]:
@@ -291,35 +279,32 @@ def chain(parts: Sequence[Transformer]) -> Transformer:
 # -- public combinators -----------------------------------------------------
 
 
-def then(a: Transformer, b: Transformer) -> Then:
-    """Sequential composition: b applied to a's output."""
-    node = Then(a, b)
+def _checked(node: _Composite) -> _Composite:
     type_check(node)
     return node
+
+
+def then(a: Transformer, b: Transformer) -> Then:
+    """Sequential composition: b applied to a's output."""
+    return _checked(Then(a, b))
 
 
 def combine_sum(
     a: Transformer, b: Transformer, wa: float = 1.0, wb: float = 1.0
 ) -> CombineSum:
     """Weighted score sum of two result lists (missing documents score 0)."""
-    node = CombineSum(a, b, wa, wb)
-    type_check(node)
-    return node
+    return _checked(CombineSum(a, b, wa, wb))
 
 
 def set_union(a: Transformer, b: Transformer) -> SetUnion:
     """Set union of two result lists; scores and ranks are dropped."""
-    node = SetUnion(a, b)
-    type_check(node)
-    return node
+    return _checked(SetUnion(a, b))
 
 
 def rank_cutoff(a: Transformer, k: int) -> RankCutoff:
     """Keep only results ranked below k for each query."""
     check_positive(k)
-    node = RankCutoff(a, k)
-    type_check(node)
-    return node
+    return _checked(RankCutoff(a, k))
 
 
 # -- type checking ----------------------------------------------------------

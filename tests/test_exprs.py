@@ -1,9 +1,11 @@
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from ragkit.errors import ExprError, TypeMismatch
 from ragkit.exprs import Env, default_backend, parse, print_expr
 from ragkit.frame import Frame, SemType
-from ragkit.index import BM25Retriever
+from ragkit.index import BM25Retriever, index_corpus
 from ragkit.rag import (
     Concatenator,
     HttpBackend,
@@ -18,6 +20,7 @@ from ragkit.transformer import (
     RankCutoff,
     SetUnion,
     Then,
+    chain,
     components,
     run,
     type_check,
@@ -129,15 +132,16 @@ class TestParseErrors:
             ("(bm25", "expected ')'"),
             ("bm25 %", "integer"),
             ("bm25 % 0", "positive"),
-            ("bm25(k=-2)", "k > 0"),
-            ("ircot(k=0)", "k > 0"),
+            ("bm25(k=-2)", "num_results > 0"),
+            ("ircot(k=0)", "num_results > 0"),
             ("concat(docs=-1)", "k_docs > 0"),
             ("ircot(docs=-1)", "docs_per_iteration > 0"),
             ("ircot(iters=0)", "max_iterations > 0"),
-            ("bm25(k=2.5)", "k > 0"),
+            ("bm25(k=2.5)", "num_results > 0"),
             ("ircot(iters=1.5)", "max_iterations > 0"),
             ("ircot(docs=true)", "docs_per_iteration > 0"),
             ("concat(docs=2.5)", "k_docs > 0"),
+            ("concat(sep=5)", "item_separator"),
             ("concat(docs)", "expected '='"),
             ('concat(sep="oops)', "unterminated"),
             ("bm25 bm25", "trailing"),
@@ -147,6 +151,12 @@ class TestParseErrors:
                 parse(text, env)
             assert fragment in str(err.value)
             assert err.value.offset >= 0
+        # a rejected count is reported at the argument that set it
+        for text, offset in [("reader >> concat(docs=2.5)", 22), ("bm25(k=0)", 7),
+                             ("ircot(iters=0)", 12)]:
+            with pytest.raises(ExprError) as err:
+                parse(text, env)
+            assert err.value.offset == offset
 
     def test_unknown_stage_lists_known_ones(self):
         with pytest.raises(ExprError) as err:
@@ -224,6 +234,44 @@ class TestPrintExpr:
 
         node = bm25_retriever(small_index) % 3
         assert print_expr(node) == "bm25 % 3"
+
+
+_TREE_ENV = Env(index_provider=lambda: index_corpus(
+    [{"docno": "d1", "text": "the eiffel tower is in paris"}]))
+
+
+def _trees(leaves):
+    """Trees over `leaves` built with %, + and | (any depth). Each leaf
+    strategy yields one input type, so these trees keep it."""
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.tuples(sub, st.integers(1, 20)).map(lambda t: t[0] % t[1]),
+        st.tuples(sub, sub).map(lambda t: t[0] + t[1]),
+        st.tuples(sub, sub).map(lambda t: t[0] | t[1]),
+    ), max_leaves=6)
+
+
+def _parsed(texts):
+    return st.sampled_from(texts).map(lambda text: parse(text, _TREE_ENV))
+
+
+# R -> R pipelines are trees chained with >>; a Q -> R tree may feed one
+_RR = st.lists(_trees(_parsed(["attach", "attach(fields=title)"])), min_size=1,
+               max_size=3).map(chain)
+_QR = st.recursive(
+    _trees(_parsed(["bm25", "bm25(k=5)", "bm25(k=20)", "bm25(k1=0.9)", "bm25(k1=2.0)"])),
+    lambda sub: st.one_of(
+        st.tuples(sub, _RR).map(lambda t: t[0] >> t[1]),
+        _trees(sub),
+    ), max_leaves=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_QR)
+def test_print_then_parse_gives_the_tree_back(tree):
+    text = print_expr(tree)
+    again = parse(text, _TREE_ENV)
+    assert again == tree
+    assert print_expr(again) == text
 
 
 def test_parsed_pipeline_runs_end_to_end(env, small_index):

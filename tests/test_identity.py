@@ -1,7 +1,8 @@
-"""Structural identity of the built-in leaves: every constructor argument is
-part of a stage's identity, and equal arguments give equal stages."""
+"""Structural identity of the built-in nodes: every constructor argument is
+part of a node's identity, and equal arguments give equal nodes."""
 
 import inspect
+from dataclasses import fields
 
 import pytest
 
@@ -25,9 +26,19 @@ from ragkit.rag import (
     ZeroShot,
     phrase_exit,
 )
+from ragkit.frame import SemType
+from ragkit.transformer import (
+    CombineSum,
+    FnTransformer,
+    RankCutoff,
+    SetUnion,
+    Signature,
+    Then,
+)
 
 LEAVES = [BM25Retriever, TextAttacher, Indexer, Concatenator, PromptRenderer,
           Reader, ZeroShot, IterativeRetriever]
+COMPOSITES = [Then, CombineSum, SetUnion, RankCutoff]
 
 
 def http(model="m", **settings):
@@ -42,6 +53,8 @@ def cases(index):
     backends = [http("other"), http(base_url="http://b"), http(temperature=0.7),
                 http(max_input_chars=100), StubBackend()]
     retriever = BM25Retriever(index, num_results=100, include_fields=("text",))
+    other = BM25Retriever(index, num_results=10)
+    attacher = TextAttacher(index, ("text",))
     return {
         BM25Retriever: ({"index": index}, {
             "index": [other_index],
@@ -87,10 +100,28 @@ def cases(index):
             "docs_per_iteration": [2],
             "fields": [("title",)],
         }),
+        Then: ({"left": retriever, "right": attacher}, {
+            "left": [other],
+            "right": [TextAttacher(index, ("title",))],
+        }),
+        CombineSum: ({"left": retriever, "right": other}, {
+            "left": [other],
+            "right": [retriever],
+            "weight_left": [0.5],
+            "weight_right": [2.0],
+        }),
+        SetUnion: ({"left": retriever, "right": other}, {
+            "left": [other],
+            "right": [retriever],
+        }),
+        RankCutoff: ({"child": retriever, "k": 5}, {
+            "child": [other],
+            "k": [3],
+        }),
     }
 
 
-@pytest.mark.parametrize("cls", LEAVES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", LEAVES + COMPOSITES, ids=lambda cls: cls.__name__)
 def test_each_constructor_argument_is_part_of_the_identity(cls, small_index, tmp_path):
     base, alternatives = cases(small_index)[cls]
     assert set(alternatives) == set(inspect.signature(cls).parameters)
@@ -116,3 +147,14 @@ def test_stub_scripts_are_part_of_the_identity():
     assert stage([("a", "b")]) == stage((("a", "b"),))
     assert stage([("a", "b")]) != stage([("a", "c")])
     assert stage([("a", "b")]) != stage([("a", "b")], default="x")
+
+
+def test_composite_keys_never_equal_leaf_keys(small_index):
+    # a leaf with a composite's name and fields as its params is still a leaf
+    retriever = BM25Retriever(small_index)
+    for node in (Then(retriever, TextAttacher(small_index, ("text",))),
+                 retriever + retriever, retriever | retriever, retriever % 3):
+        params = [(f.name, getattr(node, f.name)) for f in fields(node)]
+        leaf = FnTransformer(Signature(SemType.Q, SemType.R), node.name,
+                             lambda f: f, params=params)
+        assert leaf != node

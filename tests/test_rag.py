@@ -192,6 +192,12 @@ class TestConcatenator:
                 with pytest.raises(InvalidK, match=name):
                     concatenate_context(**{name: bad})
 
+    def test_separator_and_item_template_must_be_strings(self):
+        with pytest.raises(TypeError, match="item_separator"):
+            concatenate_context(item_separator=5)
+        with pytest.raises(TypeError, match="item_template"):
+            concatenate_context(item_template=5)
+
     def test_empty_input(self):
         out = run(concatenate_context(), Frame(SemType.R, ()))
         assert len(out) == 0
@@ -443,3 +449,59 @@ def test_ircot_prompts_fit_the_budget_and_keep_the_question(question, texts, ste
     for prompt in sent:
         assert len(prompt) <= budget
         assert f"Question: {question}\nAnswer:" in prompt
+
+
+def _word_retriever():
+    """Q -> R: one doc per distinct query word, so each step's context
+    depends on the query text the loop retrieved with."""
+
+    def apply(frame):
+        rows = []
+        for r in frame.rows:
+            words = dict.fromkeys(r["query"].split())
+            rows += [{"qid": r["qid"], "docno": w, "score": float(len(words) - i),
+                      "query": r["query"], "text": f"about {w}"}
+                     for i, w in enumerate(words)]
+        return assign_ranks(rows)
+
+    return FnTransformer(Signature(SemType.Q, SemType.R), "words", apply)
+
+
+class PerQuestionSteps(RecordingBackend):
+    """Answers by question: the n-th prompt seen for a question gets step n,
+    which exits when n is that question's exit step (None: never)."""
+
+    def __init__(self, exits):
+        super().__init__()
+        self.exits = exits
+
+    def sent(self, question):
+        return [p for batch in self.prompts for p in batch
+                if f"Question: {question}\n" in p]
+
+    def generate(self, prompts, system=""):
+        super().generate(prompts, system)
+        answers = []
+        for prompt in prompts:
+            q = next(q for q in self.exits if f"Question: {q}\n" in prompt)
+            n = len(self.sent(q))
+            answers.append(f"so the answer is {q} {n}" if n == self.exits[q]
+                           else f"step {n} of {q}")
+        return answers
+
+
+def test_ircot_answers_each_question_of_a_frame_as_if_alone():
+    exits = {"alpha first": 1, "beta second": 2, "gamma third": None}
+    frame = Frame(SemType.Q, [{"qid": f"q{i}", "query": q} for i, q in enumerate(exits)])
+
+    def stage(backend):
+        return ircot(_word_retriever(), backend, max_iterations=3)
+
+    together = PerQuestionSteps(exits)
+    rows = {r["qid"]: r for r in run(stage(together), frame).rows}
+    assert [rows[f"q{i}"]["iterations"] for i in range(3)] == [1, 2, 3]
+    for row, question in zip(frame.rows, exits):
+        alone = PerQuestionSteps(exits)
+        [single] = run(stage(alone), Frame(SemType.Q, [row])).rows
+        assert single == rows[row["qid"]]
+        assert together.sent(question) == alone.sent(question)
