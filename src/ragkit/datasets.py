@@ -25,7 +25,10 @@ from .errors import (
 from .frame import Frame, SemType, validate
 
 
-def _jsonl_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+def _jsonl_records(path: str | Path, required: Sequence[str] = (),
+                   label: str = "") -> Iterator[dict]:
+    """The JSON objects of a JSONL file, blank lines skipped; an object
+    missing a required field fails as MissingField at path:line plus label."""
     p = Path(path)
     if not p.exists():
         raise ParseError("file not found", source=str(p))
@@ -39,7 +42,10 @@ def _jsonl_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise ParseError(str(exc), source=str(p), line=lineno) from None
             if not isinstance(obj, dict):
                 raise ParseError("line is not a JSON object", source=str(p), line=lineno)
-            yield lineno, obj
+            for name in required:
+                if name not in obj:
+                    raise MissingField(name, f"{path}:{lineno}{label}")
+            yield obj
 
 
 def load_corpus(paths: str | Path | Sequence[str | Path]) -> Iterator[dict]:
@@ -52,12 +58,7 @@ def load_corpus(paths: str | Path | Sequence[str | Path]) -> Iterator[dict]:
     if isinstance(paths, (str, Path)):
         paths = [paths]
     for path in paths:
-        for lineno, obj in _jsonl_records(path):
-            where = f"{path}:{lineno}"
-            if "docno" not in obj:
-                raise MissingField("docno", where)
-            if "text" not in obj:
-                raise MissingField("text", where)
+        for obj in _jsonl_records(path, ("docno", "text")):
             row = dict(obj)
             row["docno"] = str(row["docno"])
             row["text"] = str(row["text"])
@@ -68,12 +69,7 @@ def load_topics(path: str | Path, split: str = "") -> Frame:
     """Read a qid/query JSONL file into a Q frame."""
     rows = []
     label = f" ({split})" if split else ""
-    for lineno, obj in _jsonl_records(path):
-        where = f"{path}:{lineno}{label}"
-        if "qid" not in obj:
-            raise MissingField("qid", where)
-        if "query" not in obj:
-            raise MissingField("query", where)
+    for obj in _jsonl_records(path, ("qid", "query"), label):
         rows.append({"qid": str(obj["qid"]), "query": str(obj["query"])})
     frame = Frame(SemType.Q, rows)
     validate(frame, SemType.Q)
@@ -84,12 +80,7 @@ def load_answers(path: str | Path) -> Frame:
     """Read a qid/answers JSONL file into a GA frame (one row per qid, the
     answers list kept verbatim)."""
     rows = []
-    for lineno, obj in _jsonl_records(path):
-        where = f"{path}:{lineno}"
-        if "qid" not in obj:
-            raise MissingField("qid", where)
-        if "answers" not in obj:
-            raise MissingField("answers", where)
+    for obj in _jsonl_records(path, ("qid", "answers")):
         answers = obj["answers"]
         if not isinstance(answers, list) or not answers:
             raise EmptyGold(str(obj["qid"]))
@@ -249,12 +240,7 @@ def convert_qa_corpus(src: str | Path, dst: str | Path) -> int:
     number of documents written. Extra fields are preserved."""
     count = 0
     with Path(dst).open("w", encoding="utf-8") as out:
-        for lineno, obj in _jsonl_records(src):
-            where = f"{src}:{lineno}"
-            if "id" not in obj:
-                raise MissingField("id", where)
-            if "contents" not in obj:
-                raise MissingField("contents", where)
+        for obj in _jsonl_records(src, ("id", "contents")):
             row = {k: v for k, v in obj.items() if k not in ("id", "contents")}
             row["docno"] = str(obj["id"])
             row["text"] = str(obj["contents"])
@@ -271,11 +257,7 @@ def convert_qa_topics(
     count = 0
     with Path(topics_dst).open("w", encoding="utf-8") as topics_out, \
             Path(answers_dst).open("w", encoding="utf-8") as answers_out:
-        for lineno, obj in _jsonl_records(src):
-            where = f"{src}:{lineno}"
-            for field in ("id", "question", "golden_answers"):
-                if field not in obj:
-                    raise MissingField(field, where)
+        for obj in _jsonl_records(src, ("id", "question", "golden_answers")):
             answers = obj["golden_answers"]
             if not isinstance(answers, list) or not answers:
                 raise EmptyGold(str(obj["id"]))

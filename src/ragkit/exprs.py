@@ -38,9 +38,6 @@ from .rag import (
     Reader,
     StubBackend,
     ZeroShot,
-    DEFAULT_RAG_TEMPLATE,
-    DEFAULT_ZERO_SHOT_TEMPLATE,
-    DEFAULT_ITERATIVE_TEMPLATE,
 )
 from .transformer import (
     CombineSum,
@@ -350,33 +347,31 @@ def _stage_concat(args, offsets, offset, env):
 
 
 def _stage_prompt(args, offsets, offset, env):
-    template = _template_from_args(args, DEFAULT_RAG_TEMPLATE)
-    return PromptRenderer(template)
+    return PromptRenderer(_template_from_args(args, Reader.default_template))
+
+
+def _backend_and_template(cls, args, offsets, offset, env):
+    """The backend and template arguments of a generating stage `cls`."""
+    spec = args.pop("backend", "stub:echo")
+    backend = env.backend(str(spec), offsets.get("backend", offset))
+    return backend, _template_from_args(args, cls.default_template)
 
 
 def _stage_reader(args, offsets, offset, env):
-    spec = args.pop("backend", "stub:echo")
-    backend = env.backend(str(spec), offsets.get("backend", offset))
-    template = _template_from_args(args, DEFAULT_RAG_TEMPLATE)
-    return Reader(backend, template)
+    return Reader(*_backend_and_template(Reader, args, offsets, offset, env))
 
 
 def _stage_zeroshot(args, offsets, offset, env):
-    spec = args.pop("backend", "stub:echo")
-    backend = env.backend(str(spec), offsets.get("backend", offset))
-    template = _template_from_args(args, DEFAULT_ZERO_SHOT_TEMPLATE)
-    return ZeroShot(backend, template)
+    return ZeroShot(*_backend_and_template(ZeroShot, args, offsets, offset, env))
 
 
 def _stage_ircot(args, offsets, offset, env):
-    spec = args.pop("backend", "stub:echo")
-    backend = env.backend(str(spec), offsets.get("backend", offset))
+    backend, template = _backend_and_template(IterativeRetriever, args, offsets, offset, env)
     # the loop's retriever attaches the fields its context is built from
     fields = _fields_list(args.pop("fields", "text"))
     retriever = BM25Retriever(
         env.index(offset), include_fields=fields,
         **{"num_results": 100} | _take(args, offsets, num_results="k"))
-    template = _template_from_args(args, DEFAULT_ITERATIVE_TEMPLATE)
     return IterativeRetriever(
         retriever, backend, template, fields=fields,
         **_take(args, offsets, exit_phrase="exit", max_iterations="iters",
@@ -402,7 +397,8 @@ def print_expr(node: Transformer) -> str:
 
     parse(print_expr(p), env) is structurally equal to p for every
     parser-built p (leaves remember their source form). Leaves built in
-    code render as their bare stage name.
+    code render as their bare stage name. The syntax has no weights, so a
+    CombineSum whose weights are not both 1.0 raises ValueError.
     """
     return _render(node, 0)
 
@@ -411,6 +407,10 @@ def _render(node: Transformer, context: int) -> str:
     """node's text, in parentheses if it binds looser than level `context`."""
     for level, (symbol, _, cls) in enumerate(_BINARY):
         if isinstance(node, cls):
+            if cls is CombineSum and (node.weight_left, node.weight_right) != (1.0, 1.0):
+                raise ValueError(
+                    f"cannot print combine_sum weights {node.weight_left} and "
+                    f"{node.weight_right}: expressions have no weights")
             # a `then` spine prints flat: == ignores how it associates
             head, *rest = components(node) if cls is Then else (node.left, node.right)
             text = f" {symbol} ".join(

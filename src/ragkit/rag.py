@@ -4,9 +4,9 @@ retrieve-generate loop.
 
 Backends turn an ordered sequence of prompt strings into an equally long,
 order-aligned sequence of answer strings. One generate call handles a whole
-frame, so backends can batch and tests can count calls. The stub backends
-are pure functions for hermetic tests; the HTTP backend speaks an
-OpenAI-compatible chat-completions protocol.
+frame (for IRCoT, a whole round), so backends can batch and tests can count
+calls. The stub backends are pure functions for hermetic tests; the HTTP
+backend speaks an OpenAI-compatible chat-completions protocol.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 import re
 import string
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Sequence
 
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     check_positive,
 )
 from .frame import Frame, SemType, rank_ordered
-from .transformer import Signature, Transformer, run, type_check
+from .transformer import Signature, Transformer, _freeze, run, type_check
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_]+)\}")
 
@@ -101,22 +101,26 @@ class Backend:
     must tolerate concurrent calls from independent pipeline runs.
 
     `descriptor` names the backend for display. Its identity, _key(), is the
-    descriptor plus max_input_chars, and a subclass adds every other setting
-    that changes its answers (StubBackend its script, HttpBackend base_url
-    and temperature). Stages over backends with equal keys compare equal
-    and may be shared between the systems of one experiment.
+    descriptor, max_input_chars and every field a dataclass subclass
+    compares; settings that never change an answer (HttpBackend's timeout,
+    retries, session and sleeper) are declared field(compare=False). Stages
+    over backends with equal keys compare equal and may be shared between
+    the systems of one experiment.
     """
 
     descriptor: str = "backend"
     max_input_chars: int = 1_000_000
 
     def _key(self) -> tuple:
-        return (self.descriptor, self.max_input_chars)
+        compared = [f for f in fields(self) if f.compare] if is_dataclass(self) else []
+        return (self.descriptor, self.max_input_chars,
+                *(_freeze(getattr(self, f.name)) for f in compared))
 
     def generate(self, prompts: Sequence[str], system: str = "") -> list[str]:
         raise NotImplementedError
 
 
+@dataclass(eq=False)
 class StubBackend(Backend):
     """Deterministic offline backend for tests and dry runs.
 
@@ -128,24 +132,18 @@ class StubBackend(Backend):
         prompt wins; default_answer otherwise.
     """
 
+    mode: str = "echo_query"
+    script: Sequence[tuple[str, str]] = ()
+    default_answer: str = ""
+
     MODES = ("echo_query", "extractive_first_sentence", "scripted")
 
-    def __init__(
-        self,
-        mode: str = "echo_query",
-        script: Sequence[tuple[str, str]] = (),
-        default_answer: str = "",
-    ) -> None:
-        if mode not in self.MODES:
-            raise ValueError(f"unknown stub mode {mode!r}; expected one of {self.MODES}")
-        self.mode = mode
-        self.script = tuple(map(tuple, script))
-        self.default_answer = default_answer
-        self.descriptor = f"stub:{mode}"
+    def __post_init__(self) -> None:
+        if self.mode not in self.MODES:
+            raise ValueError(f"unknown stub mode {self.mode!r}; expected one of {self.MODES}")
+        self.script = tuple(map(tuple, self.script))
+        self.descriptor = f"stub:{self.mode}"
         self.calls = 0
-
-    def _key(self) -> tuple:
-        return super()._key() + (self.script, self.default_answer)
 
     def generate(self, prompts: Sequence[str], system: str = "") -> list[str]:
         self.calls += 1
@@ -171,6 +169,7 @@ class StubBackend(Backend):
         return self.default_answer
 
 
+@dataclass(eq=False)
 class HttpBackend(Backend):
     """OpenAI-compatible chat-completions client.
 
@@ -182,41 +181,29 @@ class HttpBackend(Backend):
     default); other error statuses fail immediately.
     """
 
+    model: str
+    base_url: str | None = None
+    temperature: float = 0.0
+    timeout: float = field(default=60.0, compare=False)
+    max_retries: int = field(default=3, compare=False)
+    retry_base_delay: float = field(default=1.0, compare=False)
+    max_input_chars: int = 24_000
+    session: object = field(default=None, compare=False)
+    sleeper: Callable[[float], None] = field(default=time.sleep, compare=False)
+
     API_KEY_ENV = "RAGKIT_API_KEY"
 
-    def __init__(
-        self,
-        model: str,
-        base_url: str | None = None,
-        temperature: float = 0.0,
-        timeout: float = 60.0,
-        max_retries: int = 3,
-        retry_base_delay: float = 1.0,
-        max_input_chars: int = 24_000,
-        session=None,
-        sleeper: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self.model = model
+    def __post_init__(self) -> None:
         self.base_url = (
-            base_url
+            self.base_url
             or os.environ.get("RAGKIT_BASE_URL")
             or "https://api.openai.com/v1"
         ).rstrip("/")
-        self.temperature = temperature
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.retry_base_delay = retry_base_delay
-        self.max_input_chars = max_input_chars
-        if session is None:
+        if self.session is None:
             import requests
 
-            session = requests.Session()
-        self._session = session
-        self._sleep = sleeper
+            self.session = requests.Session()
         self.descriptor = f"http:{self.model}"
-
-    def _key(self) -> tuple:
-        return super()._key() + (self.base_url, self.temperature)
 
     def generate(self, prompts: Sequence[str], system: str = "") -> list[str]:
         return [self._one(p, system) for p in prompts]
@@ -238,7 +225,7 @@ class HttpBackend(Backend):
         attempt = 0
         while True:
             try:
-                resp = self._session.post(
+                resp = self.session.post(
                     url, json=body, headers=headers, timeout=self.timeout
                 )
             except Exception as exc:
@@ -247,7 +234,7 @@ class HttpBackend(Backend):
                 return self._extract(resp)
             retryable = resp.status_code == 429 or resp.status_code >= 500
             if retryable and attempt < self.max_retries:
-                self._sleep(self.retry_base_delay * (2 ** attempt))
+                self.sleeper(self.retry_base_delay * (2 ** attempt))
                 attempt += 1
                 continue
             raise BackendError(
@@ -486,26 +473,23 @@ class PhraseExit:
 phrase_exit = PhraseExit
 
 
-def _strip_answer(text: str) -> str:
-    return text.strip().rstrip(string.punctuation + " \t\r\n").strip()
-
-
 @dataclass(eq=False, repr=False)
 class IterativeRetriever(Transformer):
-    """Q -> A: interleaved retrieval and generation.
+    """Q -> A: interleaved retrieval and generation, in rounds.
 
-    Per query: retrieve with the current query text, fold the new top
-    documents into an accumulated, docno-deduplicated set (first-seen order),
-    build a context from that set as a Concatenator over `fields` would,
-    render the prompt with the original question followed by the chain of
-    previously generated sentences, generate one continuation, and stop as
-    soon as exit_condition accepts it (or after max_iterations). The whole
-    prompt is fitted to the backend's max_input_chars by cutting the context
-    tail; if the question and the chain alone do not fit, the stage fails
-    with TemplateError. Each later retrieval uses the original question plus
-    the latest sentence. The answer is the text after the first exit phrase
-    when present, the whole chain otherwise; an `iterations` column reports
-    the loop count.
+    Each round serves the questions still going, in qid order, with one
+    retrieval run over their current queries and one generate call. Each
+    question folds its new top docs_per_iteration documents, in rank order,
+    into its accumulated, docno-deduplicated set (first-seen order), and its
+    prompt holds a context built from that set as a Concatenator over
+    `fields` would, the original question, and the chain of its previously
+    generated sentences. A question leaves as soon as exit_condition accepts
+    its step (or after max_iterations); its later retrievals use the
+    original question plus its latest sentence. The prompt is fitted to the
+    backend's max_input_chars by cutting the context tail; if the question
+    and the chain alone do not fit, the stage fails with TemplateError. The
+    answer is the text after the first exit phrase when present, the whole
+    chain otherwise; an `iterations` column reports the chain's length.
     """
 
     retriever: Transformer
@@ -519,6 +503,7 @@ class IterativeRetriever(Transformer):
 
     signature = Signature(SemType.Q, SemType.A)
     name = "ircot"
+    default_template = DEFAULT_ITERATIVE_TEMPLATE
 
     def __post_init__(self) -> None:
         sig = type_check(self.retriever)
@@ -526,10 +511,11 @@ class IterativeRetriever(Transformer):
             raise TypeMismatch(Signature(SemType.Q, SemType.R), sig, "ircot.retriever")
         check_positive(self.max_iterations, "max_iterations")
         check_positive(self.docs_per_iteration, "docs_per_iteration")
-        self.template = self.template or DEFAULT_ITERATIVE_TEMPLATE
+        self.template = self.template or self.default_template
         self.exit_phrase = self.exit_phrase.lower()
         self.exit_condition = self.exit_condition or phrase_exit(self.exit_phrase)
         self.fields = tuple(self.fields)
+        self._retrieve = self.retriever % self.docs_per_iteration
         # budgets at the backend's limit never cut what the prompt fitting
         # would keep, so the context is cut only once, to fit the prompt
         limit = self.backend.max_input_chars
@@ -537,41 +523,38 @@ class IterativeRetriever(Transformer):
                                    total_char_budget=limit)
 
     def apply(self, frame: Frame) -> Frame:
-        out = []
-        for row in sorted(frame.rows, key=lambda r: r["qid"]):
-            out.append(self._answer_one(row["qid"], row["query"]))
-        return Frame(SemType.A, out)
+        questions = {r["qid"]: r["query"] for r in sorted(frame.rows, key=lambda r: r["qid"])}
+        queries = dict(questions)  # the questions still going, in qid order
+        docs: dict[str, dict[str, dict]] = {qid: {} for qid in questions}
+        chains: dict[str, list[str]] = {qid: [] for qid in questions}
+        while queries:
+            found = run(self._retrieve, Frame(
+                SemType.Q, [{"qid": qid, "query": q} for qid, q in queries.items()]))
+            for r in rank_ordered(found.rows):
+                docs[r["qid"]].setdefault(r["docno"], r)
+            steps = _generate(self.backend, self.template, [
+                (questions[qid], self.concat.render(list(docs[qid].values())),
+                 "\n" + " ".join(chains[qid]) if chains[qid] else "")
+                for qid in queries
+            ])
+            for qid, step in zip(list(queries), steps):
+                chains[qid].append(step)
+                if (self.exit_condition({"qid": qid, "qanswer": step})
+                        or len(chains[qid]) == self.max_iterations):
+                    del queries[qid]
+                else:
+                    queries[qid] = questions[qid] + " " + step
+        return Frame(SemType.A, [
+            {"qid": qid, "qanswer": self._answer(" ".join(chain)), "iterations": len(chain)}
+            for qid, chain in chains.items()
+        ])
 
-    def _answer_one(self, qid: str, question: str) -> dict:
-        accumulated: list[dict] = []
-        seen: set[str] = set()
-        chain: list[str] = []
-        current_query = question
-        iterations = 0
-        for _ in range(self.max_iterations):
-            iterations += 1
-            q = Frame(SemType.Q, [{"qid": qid, "query": current_query}])
-            rows = rank_ordered(run(self.retriever, q).rows)
-            for r in rows[: self.docs_per_iteration]:
-                if r["docno"] not in seen:
-                    seen.add(r["docno"])
-                    accumulated.append(r)
-            context = self.concat.render(accumulated)
-            suffix = "\n" + " ".join(chain) if chain else ""
-            sentence = _generate(
-                self.backend, self.template, [(question, context, suffix)]
-            )[0]
-            chain.append(sentence)
-            if self.exit_condition({"qid": qid, "qanswer": sentence}):
-                break
-            current_query = question + " " + sentence
-        full = " ".join(chain)
-        pos = full.lower().find(self.exit_phrase)
-        if pos >= 0:
-            answer = _strip_answer(full[pos + len(self.exit_phrase):])
-        else:
-            answer = full
-        return {"qid": qid, "qanswer": answer, "iterations": iterations}
+    def _answer(self, chain: str) -> str:
+        pos = chain.lower().find(self.exit_phrase)
+        if pos < 0:
+            return chain
+        tail = chain[pos + len(self.exit_phrase):]
+        return tail.strip().rstrip(string.punctuation + " \t\r\n").strip()
 
 
 ircot = IterativeRetriever

@@ -21,6 +21,7 @@ from ragkit.transformer import (
     SetUnion,
     Then,
     chain,
+    combine_sum,
     components,
     run,
     type_check,
@@ -234,6 +235,20 @@ class TestPrintExpr:
 
         node = bm25_retriever(small_index) % 3
         assert print_expr(node) == "bm25 % 3"
+
+    def test_unweighted_sums_print_as_plus(self, env):
+        a, b = parse("bm25", env), parse("bm25(k1=2.0)", env)
+        for node in (a + b, combine_sum(a, b, 1, 1.0)):
+            assert print_expr(node) == "bm25 + bm25(k1=2.0)"
+            assert parse(print_expr(node), env) == node
+
+    def test_weighted_sums_are_refused(self, env):
+        # the syntax has no weights, so printing one would parse back unequal
+        a, b = parse("bm25", env), parse("bm25(k1=2.0)", env)
+        with pytest.raises(ValueError, match="weights 0.5 and 1.0"):
+            print_expr(combine_sum(a, b, 0.5, 1.0))
+        with pytest.raises(ValueError, match="weights 1.0 and 2.0"):
+            print_expr(combine_sum(a, b, 1.0, 2.0) % 3 >> parse("attach", env))
 
 
 _TREE_ENV = Env(index_provider=lambda: index_corpus(

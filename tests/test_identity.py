@@ -158,3 +158,40 @@ def test_composite_keys_never_equal_leaf_keys(small_index):
         leaf = FnTransformer(Signature(SemType.Q, SemType.R), node.name,
                              lambda f: f, params=params)
         assert leaf != node
+
+
+# Per dataclass backend: base arguments, then every field with a value that
+# differs from the base, as compared (it may change an answer) or not.
+BACKEND_FIELDS = {
+    StubBackend: ({"mode": "scripted"}, {
+        "mode": "echo_query",
+        "script": [("a", "b")],
+        "default_answer": "x",
+    }, {}),
+    HttpBackend: ({"model": "m", "base_url": "http://a", "session": object()}, {
+        "model": "other",
+        "base_url": "http://b",
+        "temperature": 0.7,
+        "max_input_chars": 100,
+    }, {
+        "timeout": 5.0,
+        "max_retries": 0,
+        "retry_base_delay": 0.1,
+        "session": object(),
+        "sleeper": lambda delay: None,
+    }),
+}
+
+
+@pytest.mark.parametrize("cls", list(BACKEND_FIELDS), ids=lambda cls: cls.__name__)
+def test_backend_identity_is_its_compared_fields(cls):
+    base, compared, not_compared = BACKEND_FIELDS[cls]
+    # each field is classified exactly once, as its declaration says
+    assert sorted(f.name for f in fields(cls)) == sorted([*compared, *not_compared])
+    assert {f.name for f in fields(cls) if f.compare} == set(compared)
+    stage = Reader(cls(**base))
+    for name, value in compared.items():
+        assert Reader(cls(**{**base, name: value})) != stage, name
+    for name, value in not_compared.items():
+        other = Reader(cls(**{**base, name: value}))
+        assert other == stage and hash(other) == hash(stage), name

@@ -27,7 +27,7 @@ from ragkit.rag import (
 )
 from ragkit.transformer import FnTransformer, Signature, run
 
-from conftest import counting_retriever, mock_retriever
+from conftest import counted, counting_retriever, mock_retriever
 
 
 def qc_frame(*rows):
@@ -471,8 +471,8 @@ class PerQuestionSteps(RecordingBackend):
     """Answers by question: the n-th prompt seen for a question gets step n,
     which exits when n is that question's exit step (None: never)."""
 
-    def __init__(self, exits):
-        super().__init__()
+    def __init__(self, exits, max_input_chars=1_000_000):
+        super().__init__(max_input_chars=max_input_chars)
         self.exits = exits
 
     def sent(self, question):
@@ -505,3 +505,46 @@ def test_ircot_answers_each_question_of_a_frame_as_if_alone():
         [single] = run(stage(alone), Frame(SemType.Q, [row])).rows
         assert single == rows[row["qid"]]
         assert together.sent(question) == alone.sent(question)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=st.lists(st.tuples(st.one_of(st.none(), st.integers(1, 5)),
+                            st.lists(st.sampled_from(["red", "tall", "old"]), max_size=3)),
+                  min_size=1, max_size=6),
+    order=st.permutations(range(6)),
+    max_iterations=st.integers(1, 5),
+    docs_per_iteration=st.integers(1, 3),
+    budget=st.integers(40, 400),
+)
+def test_ircot_rounds_answer_each_question_as_if_alone(
+        spec, order, max_iterations, docs_per_iteration, budget):
+    # qids sort in another order than the frame's rows; small budgets make
+    # some questions' prompts, chain included, too long to send
+    questions = {f"q{order[i]}": " ".join([f"w{i}", *words])
+                 for i, (_, words) in enumerate(spec)}
+    exits = {q: exit_step for q, (exit_step, _) in zip(questions.values(), spec)}
+
+    def attempt(rows):
+        backend, counts = PerQuestionSteps(exits, max_input_chars=budget), {"runs": 0}
+        loop = ircot(counted(_word_retriever(), counts, "runs"), backend,
+                     max_iterations=max_iterations, docs_per_iteration=docs_per_iteration)
+        try:
+            out = run(loop, Frame(SemType.Q, rows))
+        except PipelineError as err:
+            return backend, counts, type(err.cause)
+        return backend, counts, {r["qid"]: r for r in out.rows}
+
+    rows = [{"qid": qid, "query": q} for qid, q in questions.items()]
+    together, counts, result = attempt(rows)
+    alone = {row["qid"]: attempt([row]) for row in rows}
+    failures = {res for _, _, res in alone.values() if isinstance(res, type)}
+    if failures:
+        assert isinstance(result, type) and result in failures
+        return
+    assert list(result) == sorted(questions)
+    for qid, (backend, _, single) in alone.items():
+        assert single == {qid: result[qid]}
+        assert together.sent(questions[qid]) == backend.sent(questions[qid])
+    rounds = max(r["iterations"] for r in result.values())
+    assert len(together.prompts) == counts["runs"] == rounds
