@@ -15,8 +15,12 @@ import os
 import re
 import string
 import time
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Sequence
+
+import requests
+from requests.adapters import HTTPAdapter
 
 from .errors import (
     BackendError,
@@ -103,9 +107,9 @@ class Backend:
     `descriptor` names the backend for display. Its identity, _key(), is the
     descriptor, max_input_chars and every field a dataclass subclass
     compares; settings that never change an answer (HttpBackend's timeout,
-    retries, session and sleeper) are declared field(compare=False). Stages
-    over backends with equal keys compare equal and may be shared between
-    the systems of one experiment.
+    retries, session, sleeper and concurrency) are declared
+    field(compare=False). Stages over backends with equal keys compare equal
+    and may be shared between the systems of one experiment.
     """
 
     descriptor: str = "backend"
@@ -176,9 +180,24 @@ class HttpBackend(Backend):
     Sends POST {base_url}/chat/completions with a system and a user message
     per prompt; temperature defaults to 0 for reproducibility. The API key
     is read from the RAGKIT_API_KEY environment variable at call time and
-    sent as a bearer token when present. 429 and 5xx responses are retried
-    up to max_retries times with exponential backoff (1s, 2s, 4s by
-    default); other error statuses fail immediately.
+    sent as a bearer token when present.
+
+    One generate call sends its prompts in parallel, at most `concurrency`
+    at a time, and returns the answers in prompt order. The sending threads
+    belong to the backend: they start on first use and wait, idle, between
+    calls, because starting a thread can wait a whole scheduler slice on a
+    busy host, which would make each call's latency follow the host's load.
+    Calls from several threads share the one bound. All requests go
+    through the one `session`, so a caller-supplied session is used from
+    several threads at once; a session the backend makes itself keeps up to
+    max(10, concurrency) connections per host. When a prompt fails for good,
+    prompts not yet sent are dropped, the ones in flight are awaited, and
+    the BackendError of the earliest failed prompt, in prompt order, is
+    raised.
+
+    429 and 5xx responses, connection errors and timeouts are retried up to
+    max_retries times with exponential backoff (1s, 2s, 4s by default);
+    other error statuses and exceptions fail immediately.
     """
 
     model: str
@@ -190,23 +209,38 @@ class HttpBackend(Backend):
     max_input_chars: int = 24_000
     session: object = field(default=None, compare=False)
     sleeper: Callable[[float], None] = field(default=time.sleep, compare=False)
+    concurrency: int = field(default=8, compare=False)
 
     API_KEY_ENV = "RAGKIT_API_KEY"
 
     def __post_init__(self) -> None:
+        check_positive(self.concurrency, "concurrency")
         self.base_url = (
             self.base_url
             or os.environ.get("RAGKIT_BASE_URL")
             or "https://api.openai.com/v1"
         ).rstrip("/")
         if self.session is None:
-            import requests
-
             self.session = requests.Session()
+            for prefix in ("http://", "https://"):
+                self.session.mount(
+                    prefix, HTTPAdapter(pool_maxsize=max(10, self.concurrency)))
         self.descriptor = f"http:{self.model}"
+        self._pool = ThreadPoolExecutor(self.concurrency, thread_name_prefix="ragkit-http")
 
     def generate(self, prompts: Sequence[str], system: str = "") -> list[str]:
-        return [self._one(p, system) for p in prompts]
+        if len(prompts) <= 1:
+            return [self._one(p, system) for p in prompts]
+        futures = [self._pool.submit(self._one, p, system) for p in prompts]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            for f in futures:
+                f.cancel()  # drops the prompts not yet sent
+            wait(futures)  # and lets the ones in flight finish
+        # prompts start in order, so every dropped one comes after the
+        # first failure and result() raises that failure first
+        return [f.result() for f in futures]
 
     def _one(self, prompt: str, system: str) -> str:
         url = f"{self.base_url}/chat/completions"
@@ -229,18 +263,20 @@ class HttpBackend(Backend):
                     url, json=body, headers=headers, timeout=self.timeout
                 )
             except Exception as exc:
-                raise BackendError(f"request to {url} failed: {exc}") from exc
-            if resp.status_code == 200:
-                return self._extract(resp)
-            retryable = resp.status_code == 429 or resp.status_code >= 500
-            if retryable and attempt < self.max_retries:
-                self.sleeper(self.retry_base_delay * (2 ** attempt))
-                attempt += 1
-                continue
-            raise BackendError(
-                f"backend returned HTTP {resp.status_code}: {resp.text[:200]}",
-                status=resp.status_code,
-            )
+                transient = isinstance(exc, (requests.ConnectionError, requests.Timeout))
+                if not transient or attempt >= self.max_retries:
+                    raise BackendError(f"request to {url} failed: {exc}") from exc
+            else:
+                if resp.status_code == 200:
+                    return self._extract(resp)
+                retryable = resp.status_code == 429 or resp.status_code >= 500
+                if not retryable or attempt >= self.max_retries:
+                    raise BackendError(
+                        f"backend returned HTTP {resp.status_code}: {resp.text[:200]}",
+                        status=resp.status_code,
+                    )
+            self.sleeper(self.retry_base_delay * (2 ** attempt))
+            attempt += 1
 
     def _extract(self, resp) -> str:
         try:

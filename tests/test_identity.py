@@ -179,6 +179,7 @@ BACKEND_FIELDS = {
         "retry_base_delay": 0.1,
         "session": object(),
         "sleeper": lambda delay: None,
+        "concurrency": 1,
     }),
 }
 
