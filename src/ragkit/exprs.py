@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import ExprError, InvalidK
+from .errors import ExprError, InvalidK, TemplateError
 from .index import BM25Params, BM25Retriever, InvertedIndex, TextAttacher
 from .rag import (
     Backend,
@@ -300,17 +300,21 @@ def _template_from_args(args: dict, default: PromptTemplate) -> PromptTemplate:
 def _build_stage(
     name: str, args: dict, offsets: dict, offset: int, env: Env
 ) -> Transformer:
-    try:
-        node = _STAGES[name](args, offsets, offset, env)
-    except KeyError:
+    if name not in _STAGES:
         raise ExprError(
             f"unknown stage {name!r} (stages: {', '.join(sorted(_STAGES))})", offset
-        ) from None
+        )
+    try:
+        node = _STAGES[name](args, offsets, offset, env)
     except ExprError:
         raise
     except InvalidK as exc:
         # reported at the argument that set the count
         at = offsets.get(exc.name, offset)
+        raise ExprError(f"bad arguments for {name}: {exc}", at) from None
+    except TemplateError as exc:
+        # the `user` template is the one argument with placeholders
+        at = offsets.get("user", offset)
         raise ExprError(f"bad arguments for {name}: {exc}", at) from None
     except (TypeError, ValueError, AttributeError) as exc:
         raise ExprError(f"bad arguments for {name}: {exc}", offset) from None

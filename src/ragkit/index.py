@@ -48,7 +48,7 @@ from .errors import (
     UnknownDocno,
     check_positive,
 )
-from .frame import Frame, SemType
+from .frame import Frame, SemType, terminal_frame
 from .transformer import Signature, TERMINAL, Transformer
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -540,7 +540,7 @@ class Indexer(Transformer):
         self.index = index_corpus(
             frame.rows, self.fields_to_store, self.tokenizer
         )
-        return Frame(None, ())
+        return terminal_frame()
 
 
 indexer = Indexer

@@ -70,6 +70,9 @@ class PromptTemplate:
     system: str = ""
 
     def __post_init__(self):
+        for name in ("user_template", "system"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} must be a str, got {getattr(self, name)!r}")
         _check_placeholders(self.user_template, {"query", "context"}, "user_template")
 
     def render_user(self, query: str, context: str = "") -> str:
@@ -215,6 +218,8 @@ class HttpBackend(Backend):
 
     def __post_init__(self) -> None:
         check_positive(self.concurrency, "concurrency")
+        if self.retry_base_delay < 0:
+            raise ValueError(f"retry_base_delay must be >= 0, got {self.retry_base_delay}")
         self.base_url = (
             self.base_url
             or os.environ.get("RAGKIT_BASE_URL")
@@ -548,6 +553,8 @@ class IterativeRetriever(Transformer):
         check_positive(self.max_iterations, "max_iterations")
         check_positive(self.docs_per_iteration, "docs_per_iteration")
         self.template = self.template or self.default_template
+        if not isinstance(self.exit_phrase, str):
+            raise TypeError(f"exit_phrase must be a str, got {self.exit_phrase!r}")
         self.exit_phrase = self.exit_phrase.lower()
         self.exit_condition = self.exit_condition or phrase_exit(self.exit_phrase)
         self.fields = tuple(self.fields)

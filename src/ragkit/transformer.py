@@ -18,6 +18,10 @@ Pipelines are trees built from four combinators, each with an operator:
     a | b    union       set union of two result lists (drops scores)
     a % k    cutoff      keep the first k ranked results per query
 
+Each combinator's class states its rules: its type rule in `_typed`, its
+evaluation in `_combine`. type_check and run walk any tree generically; run
+names only `then`, whose operands run one after the other.
+
 Every node, composite or leaf, is a dataclass whose fields (its
 constructor parameters: operands, weights, k, stage arguments) are its
 identity, so structural equality (==) compares node names and fields all
@@ -33,7 +37,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 from .errors import PipelineError, TypeMismatch, check_positive
-from .frame import Frame, SemType, assign_ranks, rank_ordered, validate
+from .frame import Frame, SemType, assign_ranks, rank_ordered, terminal_frame, validate
 
 
 class _Terminal:
@@ -199,6 +203,11 @@ def identity(semtype: SemType) -> FnTransformer:
 
 
 class _Composite(Transformer):
+    """An operator node; its fields holding a transformer are its operands.
+    The operator's type rule is its `_typed` method and its evaluation its
+    `_combine` method, each given one argument per operand field (`then`,
+    whose operands run one after the other, is evaluated by _eval)."""
+
     @property
     def signature(self) -> Signature:
         return type_check(self)
@@ -206,6 +215,10 @@ class _Composite(Transformer):
     def _key(self) -> tuple:
         # led by the node's name, so never equal to a ("leaf", ...) key
         return (self.name, *(_freeze(getattr(self, f.name)) for f in fields(self)))
+
+    def _operands(self) -> list[tuple[str, Transformer]]:
+        return [(f.name, getattr(self, f.name)) for f in fields(self)
+                if isinstance(getattr(self, f.name), Transformer)]
 
 
 @dataclass(eq=False, repr=False)
@@ -227,11 +240,47 @@ class Then(_Composite):
             return kept[0]
         return ("then", tuple(kept))
 
+    def _typed(self, at: str, left: Signature, right: Signature) -> Signature:
+        if left.output is TERMINAL or left.output is not right.input:
+            raise TypeMismatch(right.input, left.output, at)
+        return Signature(left.input, right.output)
+
 
 @dataclass(eq=False, repr=False)
-class CombineSum(_Composite):
+class _Merge(_Composite):
+    """Two R branches over one input."""
+
     left: Transformer
     right: Transformer
+
+    def _typed(self, at: str, left: Signature, right: Signature) -> Signature:
+        for field, sig in (("left", left), ("right", right)):
+            if sig.output is not SemType.R:
+                raise TypeMismatch(SemType.R, sig.output, f"{at}.{field}")
+        if left.input is not right.input:
+            raise TypeMismatch(left.input, right.input, f"{at}.right")
+        return Signature(left.input, SemType.R)
+
+    @staticmethod
+    def _with_queries(rows: list[dict], left: Frame, right: Frame) -> list[dict]:
+        # query text is functionally dependent on qid, so merges can carry it
+        # through for downstream context builders; min() of observed values
+        # keeps the merge commutative even if the sides disagree
+        queries: dict[str, str] = {}
+        for frame in (left, right):
+            for row in frame.rows:
+                if "query" in row:
+                    q = row["query"]
+                    if row["qid"] not in queries or q < queries[row["qid"]]:
+                        queries[row["qid"]] = q
+        for row in rows:
+            if row["qid"] in queries:
+                row["query"] = queries[row["qid"]]
+        return rows
+
+
+@dataclass(eq=False, repr=False)
+class CombineSum(_Merge):
     weight_left: float = 1.0
     weight_right: float = 1.0
 
@@ -241,13 +290,34 @@ class CombineSum(_Composite):
         self.weight_left = float(self.weight_left)
         self.weight_right = float(self.weight_right)
 
+    def _combine(self, left: Frame, right: Frame) -> Frame:
+        # outer join on (qid, docno); absent side contributes 0. Guaranteed
+        # output columns are qid/docno/score/rank; per-qid query text is
+        # carried through when the inputs have it, other extras are dropped
+        # (merging per-document extras from two sides is ill-defined).
+        scores: dict[tuple[str, str], float] = {}
+        for frame, weight in ((left, self.weight_left), (right, self.weight_right)):
+            for row in frame.rows:
+                key = (row["qid"], row["docno"])
+                scores[key] = scores.get(key, 0.0) + weight * float(row.get("score", 0.0))
+        rows = [{"qid": qid, "docno": docno, "score": score}
+                for (qid, docno), score in scores.items()]
+        return assign_ranks(self._with_queries(rows, left, right))
 
-@dataclass(eq=False, repr=False)
-class SetUnion(_Composite):
-    left: Transformer
-    right: Transformer
 
+class SetUnion(_Merge):
     name = "set_union"
+
+    def _combine(self, left: Frame, right: Frame) -> Frame:
+        # left's rows in rank order, then right's rows not already seen, in
+        # right's rank order. Scores and ranks are dropped: a union of two
+        # differently calibrated score lists has no meaningful single score.
+        rows: dict[tuple[str, str], dict] = {}
+        for frame in (left, right):
+            for row in rank_ordered(frame.rows):
+                key = (row["qid"], row["docno"])
+                rows.setdefault(key, {"qid": row["qid"], "docno": row["docno"]})
+        return Frame(SemType.R, self._with_queries(list(rows.values()), left, right))
 
 
 @dataclass(eq=False, repr=False)
@@ -256,6 +326,27 @@ class RankCutoff(_Composite):
     k: int
 
     name = "rank_cutoff"
+
+    def __post_init__(self) -> None:
+        check_positive(self.k)
+
+    def _typed(self, at: str, child: Signature) -> Signature:
+        if child.output is not SemType.R:
+            raise TypeMismatch(SemType.R, child.output, f"{at}.child")
+        return child
+
+    def _combine(self, child: Frame) -> Frame:
+        if any("rank" in r for r in child.rows):
+            rows = [r for r in child.rows if r["rank"] < self.k]
+        else:
+            kept: dict[str, int] = {}
+            rows = []
+            for r in child.rows:
+                n = kept.get(r["qid"], 0)
+                if n < self.k:
+                    kept[r["qid"]] = n + 1
+                    rows.append(r)
+        return Frame(SemType.R, rows)
 
 
 def components(p: Transformer) -> list[Transformer]:
@@ -303,7 +394,6 @@ def set_union(a: Transformer, b: Transformer) -> SetUnion:
 
 def rank_cutoff(a: Transformer, k: int) -> RankCutoff:
     """Keep only results ranked below k for each query."""
-    check_positive(k)
     return _checked(RankCutoff(a, k))
 
 
@@ -324,31 +414,12 @@ def type_check(p: Transformer) -> Signature:
 
 
 def _check(node: Transformer, path: tuple[str, ...]) -> Signature:
-    if isinstance(node, Then):
-        ls = _check(node.left, path + ("then.left",))
-        rs = _check(node.right, path + ("then.right",))
-        if ls.output is TERMINAL or ls.output is not rs.input:
-            raise TypeMismatch(rs.input, ls.output, _path_str(path + ("then",)))
-        return Signature(ls.input, rs.output)
-    if isinstance(node, (CombineSum, SetUnion)):
-        kind = node.name
-        ls = _check(node.left, path + (f"{kind}.left",))
-        rs = _check(node.right, path + (f"{kind}.right",))
-        if ls.output is not SemType.R:
-            raise TypeMismatch(SemType.R, ls.output, _path_str(path + (f"{kind}.left",)))
-        if rs.output is not SemType.R:
-            raise TypeMismatch(SemType.R, rs.output, _path_str(path + (f"{kind}.right",)))
-        if ls.input is not rs.input:
-            raise TypeMismatch(ls.input, rs.input, _path_str(path + (f"{kind}.right",)))
-        return Signature(ls.input, SemType.R)
-    if isinstance(node, RankCutoff):
-        cs = _check(node.child, path + ("rank_cutoff.child",))
-        if cs.output is not SemType.R:
-            raise TypeMismatch(
-                SemType.R, cs.output, _path_str(path + ("rank_cutoff.child",))
-            )
-        return cs
-    return node.signature
+    if not isinstance(node, _Composite):
+        return node.signature
+    return node._typed(_path_str(path + (node.name,)), **{
+        field: _check(child, path + (f"{node.name}.{field}",))
+        for field, child in node._operands()
+    })
 
 
 # -- execution ---------------------------------------------------------------
@@ -383,109 +454,22 @@ def _eval(
     if isinstance(node, Then):
         mid = _eval(node.left, frame, path + ("then.left",), trace)
         out = _eval(node.right, mid, path + ("then.right",), trace)
-    elif isinstance(node, CombineSum):
-        a = _eval(node.left, frame, path + ("combine_sum.left",), trace)
-        b = _eval(node.right, frame, path + ("combine_sum.right",), trace)
-        out = _merge_sum(a, b, node.weight_left, node.weight_right)
-    elif isinstance(node, SetUnion):
-        a = _eval(node.left, frame, path + ("set_union.left",), trace)
-        b = _eval(node.right, frame, path + ("set_union.right",), trace)
-        out = _merge_union(a, b)
-    elif isinstance(node, RankCutoff):
-        child = _eval(node.child, frame, path + ("rank_cutoff.child",), trace)
-        out = _cutoff(child, node.k)
+    elif isinstance(node, _Composite):
+        out = node._combine(**{
+            field: _eval(child, frame, path + (f"{node.name}.{field}",), trace)
+            for field, child in node._operands()
+        })
     else:
         try:
             out = node.apply(frame)
+            if node.signature.output is not TERMINAL:
+                validate(out, node.signature.output, allow_unscored_r=True)
+            elif out is None:
+                out = terminal_frame()
         except PipelineError:
             raise
         except Exception as exc:
             raise PipelineError(_path_str(path + (node.name,)), exc) from exc
-        sig = node.signature
-        if sig.output is TERMINAL:
-            if out is None:
-                out = Frame(None, ())
-        else:
-            try:
-                validate(out, sig.output, allow_unscored_r=True)
-            except Exception as exc:
-                raise PipelineError(_path_str(path + (node.name,)), exc) from exc
     if trace is not None:
         trace(_path_str(path + (node.name,)), node.name, len(out))
     return out
-
-
-def _queries_by_qid(a: Frame, b: Frame) -> dict[str, str]:
-    # query text is functionally dependent on qid, so merges can carry it
-    # through for downstream context builders; min() of observed values
-    # keeps the merge commutative even if the sides disagree
-    queries: dict[str, str] = {}
-    for frame in (a, b):
-        for row in frame.rows:
-            if "query" in row:
-                q = row["query"]
-                if row["qid"] not in queries or q < queries[row["qid"]]:
-                    queries[row["qid"]] = q
-    return queries
-
-
-def _merge_sum(a: Frame, b: Frame, wa: float, wb: float) -> Frame:
-    # outer join on (qid, docno); absent side contributes 0. Guaranteed
-    # output columns are qid/docno/score/rank; per-qid query text is carried
-    # through when the inputs have it, other extras are dropped (merging
-    # per-document extras from two sides is ill-defined).
-    scores_a: dict[tuple[str, str], float] = {}
-    scores_b: dict[tuple[str, str], float] = {}
-    order: list[tuple[str, str]] = []
-    seen = set()
-    for frame, store in ((a, scores_a), (b, scores_b)):
-        for row in frame.rows:
-            key = (row["qid"], row["docno"])
-            store[key] = float(row.get("score", 0.0))
-            if key not in seen:
-                seen.add(key)
-                order.append(key)
-    queries = _queries_by_qid(a, b)
-    rows = []
-    for qid, docno in order:
-        left = wa * scores_a[(qid, docno)] if (qid, docno) in scores_a else 0.0
-        right = wb * scores_b[(qid, docno)] if (qid, docno) in scores_b else 0.0
-        row = {"qid": qid, "docno": docno, "score": left + right}
-        if qid in queries:
-            row["query"] = queries[qid]
-        rows.append(row)
-    return assign_ranks(rows)
-
-
-def _merge_union(a: Frame, b: Frame) -> Frame:
-    # a's rows in rank order, then b's rows not already seen, in b's rank
-    # order. Scores and ranks are dropped: a union of two differently
-    # calibrated score lists has no meaningful single score.
-    queries = _queries_by_qid(a, b)
-    seen: set[tuple[str, str]] = set()
-    rows = []
-    for frame in (a, b):
-        for row in rank_ordered(frame.rows):
-            key = (row["qid"], row["docno"])
-            if key in seen:
-                continue
-            seen.add(key)
-            out = {"qid": row["qid"], "docno": row["docno"]}
-            if row["qid"] in queries:
-                out["query"] = queries[row["qid"]]
-            rows.append(out)
-    return Frame(SemType.R, rows)
-
-
-def _cutoff(frame: Frame, k: int) -> Frame:
-    if any("rank" in r for r in frame.rows):
-        rows = [r for r in frame.rows if r["rank"] < k]
-    else:
-        kept: dict[str, int] = {}
-        rows = []
-        for r in frame.rows:
-            n = kept.get(r["qid"], 0)
-            if n < k:
-                kept[r["qid"]] = n + 1
-                rows.append(r)
-    return Frame(SemType.R, rows)

@@ -159,6 +159,27 @@ class TestParseErrors:
                 parse(text, env)
             assert err.value.offset == offset
 
+    @pytest.mark.parametrize("text, offset, fragment", [
+        ('reader(user="{foo}")', 12, "unknown placeholder {foo}"),
+        ('prompt(user="{x}")', 12, "unknown placeholder {x}"),
+        ('zeroshot(user="{context}")', 14, "must not use {context}"),
+        ("reader(system=5)", 0, "system must be a str, got 5"),
+        ("ircot(exit=5)", 0, "exit_phrase must be a str, got 5"),
+    ])
+    def test_template_errors_are_expression_errors(self, env, text, offset, fragment):
+        with pytest.raises(ExprError) as err:
+            parse(text, env)
+        assert err.value.offset == offset
+        assert fragment in str(err.value)
+
+    def test_a_key_error_while_building_is_not_an_unknown_stage(self):
+        env = Env(backend_factory=lambda spec, off: {"stub:echo": StubBackend()}[spec])
+        assert isinstance(parse("reader(backend=stub:echo)", env), Reader)
+        with pytest.raises(KeyError):
+            parse("reader(backend=http:x)", env)
+        with pytest.raises(ExprError, match="unknown stage 'rerank'"):
+            parse("rerank", env)
+
     def test_unknown_stage_lists_known_ones(self):
         with pytest.raises(ExprError) as err:
             parse("rerank")

@@ -269,6 +269,17 @@ def test_only_transport_errors_are_retried(exc, calls):
     assert delays == [0.25, 0.5, 1.0][: calls - 1]
 
 
+def test_negative_retry_delay_is_refused_and_zero_is_not():
+    with pytest.raises(ValueError, match="retry_base_delay must be >= 0, got -1"):
+        HttpBackend("m", base_url="http://a", session=object(), retry_base_delay=-1)
+    delays, session = [], RaisingSession(requests.ConnectionError("reset"))
+    backend = HttpBackend("m", base_url="http://a", session=session,
+                          max_retries=2, retry_base_delay=0, sleeper=delays.append)
+    with pytest.raises(BackendError):
+        backend.generate(["x"])
+    assert session.calls == 3 and delays == [0, 0]
+
+
 # -- concurrency ---------------------------------------------------------------
 
 

@@ -60,6 +60,14 @@ class TestPromptTemplate:
         with pytest.raises(TemplateError):
             PromptTemplate(user_template="{nope}")
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"user_template": 5}, "user_template"),
+        ({"user_template": "{query}", "system": None}, "system"),
+    ])
+    def test_non_str_parts_are_refused(self, kwargs, name):
+        with pytest.raises(TypeError, match=f"{name} must be a str"):
+            PromptTemplate(**kwargs)
+
     def test_non_placeholder_braces_survive(self):
         t = PromptTemplate(user_template="json {{}} style {query} {x1}")
         # {x1} has a digit so it is not placeholder syntax; left verbatim

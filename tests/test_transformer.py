@@ -160,9 +160,36 @@ class TestTypeCheck:
         with pytest.raises(TypeMismatch):
             rank_cutoff(q_rewrite, 3)
         r = mock_retriever(TABLE)
-        for bad in (0, -1, 2.5, True, "3"):
-            with pytest.raises(InvalidK):
-                rank_cutoff(r, bad)
+        for make in (rank_cutoff, RankCutoff):
+            for bad in (0, -1, 2.5, True, "3"):
+                with pytest.raises(InvalidK):
+                    make(r, bad)
+
+    @pytest.mark.parametrize("build, path, expected, actual", [
+        (lambda r, rw: Then(reranker(), r), "then", SemType.Q, SemType.R),
+        (lambda r, rw: CombineSum(rw, r), "combine_sum.left", SemType.R, SemType.Q),
+        (lambda r, rw: CombineSum(r, rw), "combine_sum.right", SemType.R, SemType.Q),
+        (lambda r, rw: CombineSum(r, reranker()), "combine_sum.right",
+         SemType.Q, SemType.R),
+        (lambda r, rw: SetUnion(rw, r), "set_union.left", SemType.R, SemType.Q),
+        (lambda r, rw: SetUnion(r, rw), "set_union.right", SemType.R, SemType.Q),
+        (lambda r, rw: SetUnion(r, reranker()), "set_union.right",
+         SemType.Q, SemType.R),
+        (lambda r, rw: RankCutoff(rw, 3), "rank_cutoff.child", SemType.R, SemType.Q),
+        (lambda r, rw: Then(r, CombineSum(rw, r)), "then.right/combine_sum.left",
+         SemType.R, SemType.Q),
+        (lambda r, rw: RankCutoff(SetUnion(r, Then(rw, rw)), 2),
+         "rank_cutoff.child/set_union.right", SemType.R, SemType.Q),
+        (lambda r, rw: CombineSum(Then(reranker(), r), Then(reranker(), r)),
+         "combine_sum.left/then", SemType.Q, SemType.R),
+    ])
+    def test_mismatch_path_names_each_rule(self, build, path, expected, actual):
+        rw = FnTransformer(Signature(SemType.Q, SemType.Q), "rw", lambda f: f)
+        with pytest.raises(TypeMismatch) as err:
+            type_check(build(mock_retriever(TABLE), rw))
+        assert err.value.path == path
+        assert (err.value.expected, err.value.actual) == (expected, actual)
+        assert str(err.value) == f"type mismatch at {path}: expected {expected}, got {actual}"
 
     def test_raw_node_constructors_defer_checking(self):
         # building an ill-typed tree is fine; checking it is not
@@ -219,6 +246,47 @@ class TestRun:
             run(p, q_frame("q1"))
         assert "boom" in err.value.path
         assert isinstance(err.value.cause, RuntimeError)
+
+    @pytest.mark.parametrize("build, path", [
+        (lambda r, bq, br: bq, "boom"),
+        (lambda r, bq, br: Then(bq, reranker()), "then.left/boom"),
+        (lambda r, bq, br: Then(r, br), "then.right/boom"),
+        (lambda r, bq, br: CombineSum(bq, r), "combine_sum.left/boom"),
+        (lambda r, bq, br: CombineSum(r, bq), "combine_sum.right/boom"),
+        (lambda r, bq, br: SetUnion(bq, r), "set_union.left/boom"),
+        (lambda r, bq, br: SetUnion(r, bq), "set_union.right/boom"),
+        (lambda r, bq, br: RankCutoff(bq, 2), "rank_cutoff.child/boom"),
+        (lambda r, bq, br: Then(r, RankCutoff(br, 2)), "then.right/rank_cutoff.child/boom"),
+    ])
+    def test_failing_leaf_path_names_its_operand_slots(self, build, path):
+        def boom(frame):
+            raise RuntimeError("kaput")
+
+        bq = FnTransformer(Signature(SemType.Q, SemType.R), "boom", boom)
+        br = FnTransformer(Signature(SemType.R, SemType.R), "boom", boom)
+        with pytest.raises(PipelineError) as err:
+            run(build(mock_retriever(TABLE), bq, br), q_frame("q1"))
+        assert err.value.path == path
+        assert str(err.value) == f"error at {path}: kaput"
+
+    def test_trace_of_all_four_operators_is_postorder_with_paths(self):
+        r1 = mock_retriever({"q1": [("d1", 3.0), ("d2", 1.0)]}, name="r1")
+        r2 = mock_retriever({"q1": [("d2", 5.0), ("d3", 2.0)]}, name="r2")
+        r3 = mock_retriever({"q1": [("d3", 4.0), ("d4", 1.0)]}, name="r3")
+        seen = []
+        run(((r1 | r2) + r3) % 2 >> reranker(), q_frame("q1"),
+            trace=lambda path, name, n: seen.append((path, name, n)))
+        cut = "then.left/rank_cutoff.child"
+        assert seen == [
+            (f"{cut}/combine_sum.left/set_union.left/r1", "r1", 2),
+            (f"{cut}/combine_sum.left/set_union.right/r2", "r2", 2),
+            (f"{cut}/combine_sum.left/set_union", "set_union", 3),
+            (f"{cut}/combine_sum.right/r3", "r3", 2),
+            (f"{cut}/combine_sum", "combine_sum", 4),
+            ("then.left/rank_cutoff", "rank_cutoff", 2),
+            ("then.right/boost", "boost", 2),
+            ("then", "then", 2),
+        ]
 
     def test_trace_reports_every_node_postorder(self):
         seen = []
