@@ -26,6 +26,7 @@ Format 1 (JSON postings) is refused with a pointer to re-run `ragkit index`.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -438,6 +439,15 @@ class BM25Retriever(Transformer):
         k1, b, avgdl = self.bm25.k1, self.bm25.b, self.index.avgdl
         dl = self.index._doclens / avgdl if avgdl else np.zeros(self.index.n_docs)
         self._norm = k1 * (1.0 - b + b * dl)
+
+    def _cut(self, k: int) -> BM25Retriever:
+        # exact, as _top's order is total; a shallow copy keeps any subclass
+        # and its state, and leaves this (possibly shared) instance as it is
+        if k >= self.num_results:
+            return self
+        cut = copy.copy(self)
+        cut.num_results = k
+        return cut
 
     def _top(self, acc: np.ndarray) -> tuple[list[int], list[float]]:
         """Doc ids and scores of the top num_results by (score desc, docno

@@ -505,6 +505,8 @@ class PhraseExit:
     phrase: str = DEFAULT_EXIT_PHRASE
 
     def __post_init__(self) -> None:
+        if not isinstance(self.phrase, str):
+            raise TypeError(f"phrase must be a str, got {self.phrase!r}")
         object.__setattr__(self, "phrase", self.phrase.lower())
 
     def __call__(self, row: dict) -> bool:

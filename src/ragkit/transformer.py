@@ -20,7 +20,9 @@ Pipelines are trees built from four combinators, each with an operator:
 
 Each combinator's class states its rules: its type rule in `_typed`, its
 evaluation in `_combine`. type_check and run walk any tree generically; run
-names only `then`, whose operands run one after the other.
+names only `then`, whose operands run one after the other. A cutoff hands
+them its child cut to k where the child can stop early (`_cut`): a
+retriever under `% k` fetches only k rows. The tree is never rewritten.
 
 Every node, composite or leaf, is a dataclass whose fields (its
 constructor parameters: operands, weights, k, stage arguments) are its
@@ -147,6 +149,11 @@ class Transformer:
 
     def __mod__(self, k: int) -> "RankCutoff":
         return rank_cutoff(self, k)
+
+    def _cut(self, k: int) -> "Transformer | None":
+        """A node whose output is this node's output cut to rank k, so that
+        a cutoff can stop its child early; None when there is none."""
+        return None
 
     # -- structural identity ---------------------------------------------
 
@@ -322,6 +329,9 @@ class SetUnion(_Merge):
 
 @dataclass(eq=False, repr=False)
 class RankCutoff(_Composite):
+    """Keeps each query's results ranked below k. Its child runs as
+    child._cut(k) where that exists, so a retriever fetches only k rows."""
+
     child: Transformer
     k: int
 
@@ -329,6 +339,12 @@ class RankCutoff(_Composite):
 
     def __post_init__(self) -> None:
         check_positive(self.k)
+
+    def _cut(self, k: int) -> "RankCutoff":
+        return self if k >= self.k else RankCutoff(self.child, k)
+
+    def _operands(self) -> list[tuple[str, Transformer]]:
+        return [("child", self.child._cut(self.k) or self.child)]
 
     def _typed(self, at: str, child: Signature) -> Signature:
         if child.output is not SemType.R:
@@ -429,10 +445,10 @@ TraceFn = Callable[[str, str, int], None]
 
 def run(p: Transformer, frame: Frame, trace: TraceFn | None = None) -> Frame:
     """Type-check, validate the input and evaluate the tree. Each leaf is
-    invoked exactly once per position per run, and its output is validated
-    where it is produced, under the leaf's path; combinator outputs are built
-    from those validated frames and are not checked again, so every frame is
-    validated once.
+    invoked exactly once per position per run (under a cutoff, as its
+    `_cut` copy), and its output is validated where it is produced, under
+    the leaf's path; combinator outputs are built from those validated
+    frames and are not checked again, so every frame is validated once.
 
     `trace`, when given, is called as trace(path, node_name, out_row_count)
     after every node finishes.

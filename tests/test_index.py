@@ -12,6 +12,8 @@ from ragkit.errors import (
     ParseError,
     UnknownDocno,
 )
+from ragkit.eval import experiment
+from ragkit.exprs import print_expr
 from ragkit.frame import Frame, SemType
 from ragkit.index import (
     FORMAT_VERSION,
@@ -25,7 +27,8 @@ from ragkit.index import (
     index_corpus,
     indexer,
 )
-from ragkit.transformer import run
+from ragkit.rag import Concatenator, StubBackend, ircot, reader, zero_shot
+from ragkit.transformer import RankCutoff, Transformer, run
 
 
 class TestTokenizer:
@@ -229,6 +232,140 @@ def test_retriever_matches_exhaustive_bm25_score_ranking(case):
         [(docno, score) for score, docno in ranking]
     assert [r["rank"] for r in out.rows] == list(range(len(ranking)))
     assert all(type(r["score"]) is float for r in out.rows)
+
+
+# -- rank cutoffs pushed into the retriever --------------------------------------
+
+
+@st.composite
+def _cutoff_cases(draw):
+    vocab = [f"w{i}" for i in range(draw(st.integers(1, 4)))]
+    words = st.lists(st.sampled_from(vocab), min_size=1, max_size=5).map(" ".join)
+    # few distinct texts over more docs make score ties common; docnos are
+    # shuffled so that their order is not ingestion order
+    texts = draw(st.lists(words, min_size=1, max_size=3))
+    order = draw(st.permutations(range(draw(st.integers(1, 15)))))
+    docs = [{"docno": f"d{j:02d}", "text": draw(st.sampled_from(texts)), "title": f"t{j}"}
+            for j in order]
+    queries = draw(st.lists(
+        st.lists(st.sampled_from(vocab + ["unseen"]), max_size=4).map(" ".join),
+        min_size=1, max_size=4))
+    include = draw(st.sampled_from([(), ("text",), ("title", "text", "absent")]))
+    k, n, outer = (draw(st.integers(1, 20)) for _ in range(3))
+    return docs, queries, include, k, n, outer
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cutoff_cases())
+def test_cutoff_over_a_retriever_equals_cutting_its_full_output(case):
+    docs, queries, include, k, n, outer = case
+    idx = index_corpus(docs, fields_to_store=("text", "title"))
+    q = Frame(SemType.Q, [{"qid": f"q{i}", "query": t} for i, t in enumerate(queries)])
+    r = BM25Retriever(idx, num_results=n, include_fields=include)
+    p = r % k
+    key, text = p._key(), print_expr(p)
+    full = run(r, q)
+    out = run(p, q)
+    assert out == RankCutoff(r, k)._combine(full)
+    assert out == run(BM25Retriever(idx, num_results=min(k, n), include_fields=include), q)
+    assert run(p % outer, q) == run(r % min(k, outer), q) \
+        == RankCutoff(r, min(k, outer))._combine(full)
+    assert (p._key(), print_expr(p), r.num_results) == (key, text, n)
+
+
+class _RecordingRetriever(BM25Retriever):
+    """A subclass whose constructor takes a leading argument, as tracing
+    wrappers do; each apply records its num_results and its row count."""
+
+    def __init__(self, log, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = log
+
+    def apply(self, frame):
+        out = super().apply(frame)
+        self.log.append((self.num_results, len(out)))
+        return out
+
+
+@pytest.fixture
+def common_index():
+    # every document matches "common", with distinct scores and texts
+    return index_corpus([
+        {"docno": f"d{i:02d}", "text": f"common{' pad' * i} w{i % 3}. tail {i}"}
+        for i in range(20)
+    ])
+
+
+def _topics(*queries):
+    return Frame(SemType.Q, [{"qid": f"q{i}", "query": t} for i, t in enumerate(queries)])
+
+
+class TestCutoffPushdown:
+    def test_subclass_copy_fetches_k_rows_and_leaves_the_original(self, common_index):
+        log = []
+        sub = _RecordingRetriever(log, common_index, include_fields=("text",))
+        q = _topics("common", "common w1")
+        out = run(sub % 5, q)
+        assert log == [(5, 10)]
+        assert sub.num_results == 1000 and sub.log is log
+        assert out == run(BM25Retriever(common_index, num_results=5,
+                                        include_fields=("text",)), q)
+
+    def test_cutoff_at_or_above_num_results_keeps_the_leaf(self, common_index):
+        r = BM25Retriever(common_index, num_results=4)
+        assert r._cut(4) is r and r._cut(9) is r
+        p = r % 3
+        assert p._cut(3) is p and p._cut(2) == r % 2
+
+    def test_each_ircot_round_retrieves_docs_per_iteration_rows(self, common_index):
+        log = []
+        loop = ircot(_RecordingRetriever(log, common_index, include_fields=("text",)),
+                     StubBackend(), max_iterations=2, docs_per_iteration=3)
+        out = run(loop, _topics("common", "common w2"))
+        assert [r["iterations"] for r in out.rows] == [2, 2]
+        assert log == [(3, 6), (3, 6)]
+
+    def test_trace_keeps_every_stage_and_reports_the_cut_leaf(self, common_index):
+        seen = []
+        p = (BM25Retriever(common_index, include_fields=("text",)) % 10
+             >> Concatenator() >> reader(StubBackend()))
+        run(p, _topics("common", "common w0", "w1"),
+            trace=lambda path, name, n: seen.append((path, name, n)))
+        assert [(path, name) for path, name, _ in seen] == [
+            ("then.left/then.left/rank_cutoff.child/bm25", "bm25"),
+            ("then.left/then.left/rank_cutoff", "rank_cutoff"),
+            ("then.left/then.right/concat", "concat"),
+            ("then.left/then", "then"),
+            ("then.right/reader", "reader"),
+            ("then", "then"),
+        ]
+        assert seen[0][2] == 10 + 10 + 7
+
+    def test_outputs_match_the_uncut_path(self, common_index, monkeypatch):
+        topics = _topics("common w1", "common pad w2", "tail 7", "w0 pad")
+        gold = Frame(SemType.GA, [{"qid": r["qid"], "ganswer": ["common w1"]}
+                                  for r in topics.rows])
+
+        def outputs():
+            r = BM25Retriever(common_index, include_fields=("text",))
+            systems = [(f"k{k}", r % 10 >> Concatenator(k_docs=k)
+                        >> reader(StubBackend("extractive_first_sentence")))
+                       for k in (1, 3, 10)] + [("zs", zero_shot(StubBackend()))]
+            reports = [experiment(systems, topics, gold, baseline="zs", share_prefix=share)
+                       .to_dict() for share in (True, False)]
+            for report in reports:
+                report.pop("timing")
+            assert reports[0] == reports[1]
+            answers = []
+            for budget in (1_000_000, 150):
+                backend = StubBackend()
+                backend.max_input_chars = budget
+                answers.append(run(ircot(r, backend, docs_per_iteration=4), topics))
+            return reports[0], answers
+
+        cut = outputs()
+        monkeypatch.setattr(BM25Retriever, "_cut", Transformer._cut)
+        assert outputs() == cut
 
 
 class TestPersistence:

@@ -389,6 +389,11 @@ class TestIterativeRetrieval:
         d = ircot(mock_retriever({}), StubBackend(), exit_condition=lambda r: True)
         assert c != d
 
+    @pytest.mark.parametrize("bad", [5, None, b"done"])
+    def test_phrase_exit_refuses_a_non_str_phrase(self, bad):
+        with pytest.raises(TypeError, match="phrase must be a str"):
+            phrase_exit(bad)
+
     @pytest.mark.parametrize("n_answers", [0, 2])
     def test_misbehaving_backend_is_reported(self, n_answers):
         class Miscounting(Backend):
