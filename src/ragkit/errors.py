@@ -129,7 +129,8 @@ class ParseError(RagkitError):
 
 
 class ExprError(RagkitError):
-    """Pipeline expression syntax or stage error; carries a byte offset."""
+    """Pipeline expression syntax or stage error; carries the character
+    offset (a str index, not a byte offset) into the expression."""
 
     def __init__(self, message: str, offset: int):
         self.offset = offset

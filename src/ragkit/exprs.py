@@ -12,18 +12,23 @@ Grammar:
 "%" binds tightest, then "+", then "|", then ">>"; parentheses override.
 Values are integers, floats, true/false/none, JSON-style double-quoted
 strings (escapes allowed), or bare words (no spaces, commas or parens), so
-`reader(backend=stub:echo)` works unquoted. Errors carry character offsets
-into the source text.
+`reader(backend=stub:echo)` works unquoted. An argument may be given once.
+Errors carry character offsets (str indices) into the source text; a stage
+constructor's rejection is placed at the first argument the stage refuses
+on its own, or else at the stage.
 
-Stages: bm25, attach, concat, prompt, reader, zeroshot, ircot. Stages that
-touch the index (bm25, attach, ircot) need an Env carrying one.
+Stages: bm25, attach, concat, prompt, reader, zeroshot, ircot. Each has one
+entry in _STAGES: its class, a builder from its arguments and a read-back of
+every argument from a node's fields. Parsing builds through the entry and
+printing reads through it, so a leaf prints the same however it was built.
+Stages that touch the index (bm25, attach, ircot) need an Env carrying one.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .errors import ExprError, InvalidK, TemplateError
@@ -92,15 +97,18 @@ class Env:
         return default_backend(spec, offset)
 
 
+# stub:<name> specs and the StubBackend mode each builds; the printer names
+# a stub by the same table
+_STUB_MODES = {"echo": "echo_query", "extract": "extractive_first_sentence"}
+
+
 def default_backend(spec: str, offset: int) -> Backend:
     """Parse a backend spec: stub:echo, stub:extract, or http:<model>."""
     kind, _, rest = spec.partition(":")
     if kind == "stub":
         mode = rest or "echo"
-        if mode == "echo":
-            return StubBackend("echo_query")
-        if mode == "extract":
-            return StubBackend("extractive_first_sentence")
+        if mode in _STUB_MODES:
+            return StubBackend(_STUB_MODES[mode])
         raise ExprError(
             f"unknown stub backend {mode!r} (use stub:echo or stub:extract)", offset
         )
@@ -192,7 +200,7 @@ class _Parser:
         name = m.group(0)
         self.pos = m.end()
         args: dict[str, object] = {}
-        offsets: dict[str, int] = {}
+        at = {"": start}  # the offset of each argument's value, and of the stage
         if self._eat("("):
             self._ws()
             if not self._eat(")"):
@@ -202,17 +210,17 @@ class _Parser:
                     if not km:
                         raise ExprError("expected an argument name", self.pos)
                     key = km.group(0)
+                    if key in args:
+                        raise ExprError(f"argument {key!r} given twice", self.pos)
                     self.pos = km.end()
                     self._expect("=")
                     self._ws()
-                    offsets[key] = self.pos
+                    at[key] = self.pos
                     args[key] = self._value()
                     if self._eat(")"):
                         break
                     self._expect(",")
-        node = _build_stage(name, args, offsets, start, self.env)
-        node._expr_src = self.text[start:self.pos].strip()
-        return node
+        return _build_stage(name, args, at, self.env)
 
     def _value(self):
         ch = self.text[self.pos] if self.pos < len(self.text) else ""
@@ -275,123 +283,118 @@ def _fields_list(value) -> tuple[str, ...]:
     raise ValueError(f"expected a field list, got {value!r}")
 
 
-def _take(args: dict, offsets: dict, **names: str) -> dict:
-    """Constructor keyword arguments, as parameter=value, for each
-    parameter=argument pair of `names` whose argument the expression gives;
-    values pass unchanged, so the constructor checks them and supplies
-    its own defaults. Each such parameter's offset is recorded under its own
-    name as well, so an error that names the parameter can be placed."""
-    taken = {param: arg for param, arg in names.items() if arg in args}
-    offsets.update({param: offsets[arg] for param, arg in taken.items()})
-    return {param: args.pop(arg) for param, arg in taken.items()}
+@dataclass(frozen=True)
+class _Stage:
+    """One expression stage. `build(a, env, at)` makes its node from the
+    arguments `a` given over `defaults`, the expression defaults that differ
+    from the constructor's (the constructor supplies the rest); `at` maps
+    each argument, and "" the stage, to its offset. `read` reads every
+    argument back from a node's fields, in print order."""
+
+    cls: type
+    build: Callable[[dict, Env, dict], Transformer]
+    read: Callable[[Transformer], dict]
+    defaults: dict = field(default_factory=dict)
 
 
-def _template_from_args(args: dict, default: PromptTemplate) -> PromptTemplate:
-    system = args.pop("system", None)
-    user = args.pop("user", None)
-    if system is None and user is None:
-        return default
-    return PromptTemplate(
-        user_template=user if user is not None else default.user_template,
-        system=system if system is not None else default.system,
-    )
+def _given(a: dict, **params: str) -> dict:
+    """param=value for each param=argument pair whose argument `a` holds; a
+    `fields` argument, in every stage, is field names joined by "+"."""
+    return {param: _fields_list(a[arg]) if arg == "fields" else a[arg]
+            for param, arg in params.items() if arg in a}
 
 
-def _build_stage(
-    name: str, args: dict, offsets: dict, offset: int, env: Env
-) -> Transformer:
-    if name not in _STAGES:
-        raise ExprError(
-            f"unknown stage {name!r} (stages: {', '.join(sorted(_STAGES))})", offset
-        )
-    try:
-        node = _STAGES[name](args, offsets, offset, env)
-    except ExprError:
-        raise
-    except InvalidK as exc:
-        # reported at the argument that set the count
-        at = offsets.get(exc.name, offset)
-        raise ExprError(f"bad arguments for {name}: {exc}", at) from None
-    except TemplateError as exc:
-        # the `user` template is the one argument with placeholders
-        at = offsets.get("user", offset)
-        raise ExprError(f"bad arguments for {name}: {exc}", at) from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ExprError(f"bad arguments for {name}: {exc}", offset) from None
-    if args:
-        extra = ", ".join(sorted(args))
-        raise ExprError(f"unknown argument(s) for {name}: {extra}", offset)
-    return node
+def _backend(a: dict, env: Env, at: dict) -> Backend:
+    return env.backend(str(a["backend"]), at.get("backend", at[""]))
 
 
-def _stage_bm25(args, offsets, offset, env):
-    # the expression surface attaches text by default so that
-    # "bm25 >> concat >> reader" works without an explicit attach stage;
-    # pass fields="" to index-only rows
-    return BM25Retriever(
-        env.index(offset),
-        BM25Params(**_take(args, offsets, k1="k1", b="b")),
-        include_fields=_fields_list(args.pop("fields", "text")),
-        # k is the short name of num_results and wins when both are given
-        **_take(args, offsets, num_results="num_results")
-        | _take(args, offsets, num_results="k"),
-    )
+def _template(cls, a: dict) -> PromptTemplate:
+    return replace(cls.default_template, **_given(a, system="system", user_template="user"))
 
 
-def _stage_attach(args, offsets, offset, env):
-    return TextAttacher(env.index(offset), _fields_list(args.pop("fields", "text")))
+def _template_args(node) -> dict:
+    return {"system": node.template.system, "user": node.template.user_template}
 
 
-def _stage_concat(args, offsets, offset, env):
-    kwargs = _take(args, offsets, k_docs="docs", fields="fields", item_separator="sep",
-                   per_doc_char_budget="per_doc", total_char_budget="total")
-    if "fields" in kwargs:
-        kwargs["fields"] = _fields_list(kwargs["fields"])
-    return Concatenator(**kwargs)
-
-
-def _stage_prompt(args, offsets, offset, env):
-    return PromptRenderer(_template_from_args(args, Reader.default_template))
-
-
-def _backend_and_template(cls, args, offsets, offset, env):
-    """The backend and template arguments of a generating stage `cls`."""
-    spec = args.pop("backend", "stub:echo")
-    backend = env.backend(str(spec), offsets.get("backend", offset))
-    return backend, _template_from_args(args, cls.default_template)
-
-
-def _stage_reader(args, offsets, offset, env):
-    return Reader(*_backend_and_template(Reader, args, offsets, offset, env))
-
-
-def _stage_zeroshot(args, offsets, offset, env):
-    return ZeroShot(*_backend_and_template(ZeroShot, args, offsets, offset, env))
-
-
-def _stage_ircot(args, offsets, offset, env):
-    backend, template = _backend_and_template(IterativeRetriever, args, offsets, offset, env)
-    # the loop's retriever attaches the fields its context is built from
-    fields = _fields_list(args.pop("fields", "text"))
-    retriever = BM25Retriever(
-        env.index(offset), include_fields=fields,
-        **{"num_results": 100} | _take(args, offsets, num_results="k"))
-    return IterativeRetriever(
-        retriever, backend, template, fields=fields,
-        **_take(args, offsets, exit_phrase="exit", max_iterations="iters",
-                docs_per_iteration="docs"),
-    )
+def _answerer(cls) -> _Stage:
+    return _Stage(cls, lambda a, env, at: cls(_backend(a, env, at), _template(cls, a)),
+                  lambda n: {"backend": _spec(n.backend)} | _template_args(n),
+                  {"backend": "stub:echo"})
 
 
 _STAGES = {
-    "bm25": _stage_bm25,
-    "attach": _stage_attach,
-    "concat": _stage_concat,
-    "prompt": _stage_prompt,
-    "reader": _stage_reader,
-    "zeroshot": _stage_zeroshot,
-    "ircot": _stage_ircot,
+    # the expression surface attaches text by default so that
+    # "bm25 >> concat >> reader" works without an explicit attach stage;
+    # pass fields="" to index-only rows
+    "bm25": _Stage(
+        BM25Retriever,
+        lambda a, env, at: BM25Retriever(
+            env.index(at[""]), BM25Params(**_given(a, k1="k1", b="b")),
+            **_given(a, num_results="k", include_fields="fields")),
+        lambda n: {"k": n.num_results, "k1": n.bm25.k1, "b": n.bm25.b,
+                   "fields": n.include_fields},
+        {"fields": "text"}),
+    "attach": _Stage(
+        TextAttacher,
+        lambda a, env, at: TextAttacher(env.index(at[""]), **_given(a, fields="fields")),
+        lambda n: {"fields": n.fields}, {"fields": "text"}),
+    "concat": _Stage(
+        Concatenator,
+        lambda a, env, at: Concatenator(**_given(
+            a, k_docs="docs", fields="fields", per_doc_char_budget="per_doc",
+            total_char_budget="total", item_separator="sep")),
+        lambda n: {"docs": n.k_docs, "fields": n.fields, "per_doc": n.per_doc_char_budget,
+                   "total": n.total_char_budget, "sep": n.item_separator}),
+    "prompt": _Stage(PromptRenderer, lambda a, env, at: PromptRenderer(_template(Reader, a)),
+                     _template_args),
+    "reader": _answerer(Reader),
+    "zeroshot": _answerer(ZeroShot),
+    # the loop's retriever attaches the fields its context is built from
+    "ircot": _Stage(
+        IterativeRetriever,
+        lambda a, env, at: IterativeRetriever(
+            BM25Retriever(env.index(at[""]), **_given(a, num_results="k",
+                                                      include_fields="fields")),
+            _backend(a, env, at), _template(IterativeRetriever, a),
+            **_given(a, exit_phrase="exit", max_iterations="iters",
+                     docs_per_iteration="docs", fields="fields")),
+        lambda n: {"backend": _spec(n.backend)} | _template_args(n) | {
+            "k": n.retriever.num_results, "docs": n.docs_per_iteration,
+            "iters": n.max_iterations, "exit": n.exit_phrase, "fields": n.fields},
+        {"backend": "stub:echo", "k": 100, "fields": "text"}),
 }
+
+# what a stage constructor raises for an argument it refuses
+_REFUSED = (TypeError, ValueError, AttributeError, TemplateError)
+
+
+def _build_stage(name: str, args: dict, at: dict[str, int], env: Env) -> Transformer:
+    if name not in _STAGES:
+        raise ExprError(
+            f"unknown stage {name!r} (stages: {', '.join(sorted(_STAGES))})", at[""]
+        )
+    stage = _STAGES[name]
+    try:
+        node = stage.build(stage.defaults | args, env, at)
+    except _REFUSED as exc:
+        # placed at the first argument the stage refuses on its own, unless
+        # it refuses its defaults too
+        trials = [] if _refuses(stage, {}, env, at) else list(args)
+        bad = next((key for key in trials if _refuses(stage, {key: args[key]}, env, at)), "")
+        raise ExprError(f"bad arguments for {name}: {exc}", at[bad]) from None
+    # a builder reads only its own arguments; the known ones are read back
+    extra = sorted(set(args) - set(stage.read(node)))
+    if extra:
+        raise ExprError(f"unknown argument(s) for {name}: {', '.join(extra)}", at[""])
+    return node
+
+
+def _refuses(stage: _Stage, args: dict, env: Env, at: dict[str, int]) -> bool:
+    try:
+        stage.build(stage.defaults | args, env, at)
+    except _REFUSED:
+        return True
+    return False
 
 
 # -- printing ------------------------------------------------------------------
@@ -399,10 +402,12 @@ _STAGES = {
 def print_expr(node: Transformer) -> str:
     """Render a pipeline back to expression syntax.
 
-    parse(print_expr(p), env) is structurally equal to p for every
-    parser-built p (leaves remember their source form). Leaves built in
-    code render as their bare stage name. The syntax has no weights, so a
-    CombineSum whose weights are not both 1.0 raises ValueError.
+    The text is canonical, read from the nodes' fields, so
+    parse(print_expr(p), env) == p however p was built. A leaf prints its
+    arguments in table order, leaving out those equal to a default-built
+    stage's; one whose fields the syntax cannot state (a scripted stub, an
+    item template, a function stage, ...) raises ValueError, as does a
+    CombineSum whose weights are not both 1.0: the syntax has no weights.
     """
     return _render(node, 0)
 
@@ -423,6 +428,44 @@ def _render(node: Transformer, context: int) -> str:
             break
     else:
         if not isinstance(node, RankCutoff):
-            return getattr(node, "_expr_src", node.name)
+            return _leaf(node)
         level, text = _CUT, f"{_render(node.child, _CUT)} % {node.k}"
     return f"({text})" if level < context else text
+
+
+def _leaf(node: Transformer) -> str:
+    """The stage call that rebuilds `node`; ValueError if there is none."""
+    name = next((n for n, stage in _STAGES.items() if isinstance(node, stage.cls)), None)
+    # a stage that needs an index gets the node's own (ircot: its retriever's)
+    env = Env(index_provider=lambda: getattr(node, "retriever", node).index)
+    try:
+        stage = _STAGES[name]  # KeyError: no stage builds this class
+        default = stage.read(stage.build(stage.defaults, env, {"": 0}))
+        args = [f"{k}={_literal(v)}" for k, v in stage.read(node).items() if v != default[k]]
+        text = f"{name}({', '.join(args)})" if args else name
+        if parse(text, env) == node:
+            return text
+    except (KeyError, AttributeError, TypeError, ExprError):
+        pass
+    raise ValueError(f"cannot print {node!r}: the syntax cannot state all of its fields")
+
+
+def _literal(value) -> str:
+    """`value` as an argument: a field list joined by "+", a string bare
+    only if it reads back as that same word."""
+    if isinstance(value, tuple):
+        value = "+".join(value)
+    if not isinstance(value, str):
+        return "none" if value is None else json.dumps(value)
+    reader = _Parser(value, Env())
+    try:
+        bare = reader._value() == value and reader.pos == len(value)
+    except ExprError:
+        bare = False
+    return value if bare else json.dumps(value, ensure_ascii=False)
+
+
+def _spec(backend: Backend) -> str:
+    """The spec naming `backend`: its descriptor, with a stub's short mode."""
+    stubs = {f"stub:{mode}": f"stub:{name}" for name, mode in _STUB_MODES.items()}
+    return stubs.get(backend.descriptor, backend.descriptor)

@@ -5,24 +5,30 @@ from hypothesis import given, settings, strategies as st
 from ragkit.errors import ExprError, TypeMismatch
 from ragkit.exprs import Env, default_backend, parse, print_expr
 from ragkit.frame import Frame, SemType
-from ragkit.index import BM25Retriever, index_corpus
+from ragkit.index import BM25Params, BM25Retriever, TextAttacher, index_corpus
 from ragkit.rag import (
+    DEFAULT_RAG_TEMPLATE,
     Concatenator,
     HttpBackend,
     IterativeRetriever,
     PromptRenderer,
+    PromptTemplate,
     Reader,
     StubBackend,
     ZeroShot,
+    phrase_exit,
 )
 from ragkit.transformer import (
     CombineSum,
+    FnTransformer,
     RankCutoff,
     SetUnion,
+    Signature,
     Then,
     chain,
     combine_sum,
     components,
+    identity,
     run,
     type_check,
 )
@@ -152,9 +158,12 @@ class TestParseErrors:
                 parse(text, env)
             assert fragment in str(err.value)
             assert err.value.offset >= 0
-        # a rejected count is reported at the argument that set it
+        # a rejection is reported at the first argument refused on its own;
+        # offsets are str indices, not byte offsets
         for text, offset in [("reader >> concat(docs=2.5)", 22), ("bm25(k=0)", 7),
-                             ("ircot(iters=0)", 12)]:
+                             ("ircot(iters=0)", 12), ("concat(sep=5)", 11),
+                             ("bm25(k1=-1)", 8), ("bm25(b=2)", 7), ("concat(fields=5)", 14),
+                             ('concat(sep="é", docs=0)', 21)]:
             with pytest.raises(ExprError) as err:
                 parse(text, env)
             assert err.value.offset == offset
@@ -163,14 +172,28 @@ class TestParseErrors:
         ('reader(user="{foo}")', 12, "unknown placeholder {foo}"),
         ('prompt(user="{x}")', 12, "unknown placeholder {x}"),
         ('zeroshot(user="{context}")', 14, "must not use {context}"),
-        ("reader(system=5)", 0, "system must be a str, got 5"),
-        ("ircot(exit=5)", 0, "exit_phrase must be a str, got 5"),
+        ("reader(system=5)", 14, "system must be a str, got 5"),
+        ("ircot(exit=5)", 11, "exit_phrase must be a str, got 5"),
     ])
     def test_template_errors_are_expression_errors(self, env, text, offset, fragment):
         with pytest.raises(ExprError) as err:
             parse(text, env)
         assert err.value.offset == offset
         assert fragment in str(err.value)
+
+    def test_repeated_argument_is_refused(self, env):
+        with pytest.raises(ExprError, match="argument 'k' given twice") as err:
+            parse("bm25(k=1, k=2)", env)
+        assert err.value.offset == 10
+
+    def test_a_rejection_no_argument_causes_is_placed_at_the_stage(self, small_index):
+        # the factory's backend has no max_input_chars, which ircot reads
+        env = Env(index_provider=lambda: small_index,
+                  backend_factory=lambda spec, offset: object())
+        for text in ("  ircot", "  ircot(k=5)"):
+            with pytest.raises(ExprError, match="bad arguments for ircot") as err:
+                parse(text, env)
+            assert err.value.offset == 2
 
     def test_a_key_error_while_building_is_not_an_unknown_stage(self):
         env = Env(backend_factory=lambda spec, off: {"stub:echo": StubBackend()}[spec])
@@ -189,6 +212,10 @@ class TestParseErrors:
         with pytest.raises(ExprError) as err:
             parse("concat(shards=8)")
         assert "shards" in str(err.value)
+        # named like another stage's argument, and a value that one refuses
+        for text in ("reader(fields=5)", "concat(backend=carrier_pigeon)"):
+            with pytest.raises(ExprError, match="unknown argument"):
+                parse(text)
 
     def test_index_required(self):
         with pytest.raises(ExprError) as err:
@@ -254,8 +281,10 @@ class TestPrintExpr:
     def test_code_built_leaves_render_by_name(self, small_index):
         from ragkit.index import bm25_retriever
 
+        # a code-built retriever attaches no fields; the stage's default does
         node = bm25_retriever(small_index) % 3
-        assert print_expr(node) == "bm25 % 3"
+        assert print_expr(node) == 'bm25(fields="") % 3'
+        assert parse(print_expr(node), Env(index_provider=lambda: small_index)) == node
 
     def test_unweighted_sums_print_as_plus(self, env):
         a, b = parse("bm25", env), parse("bm25(k1=2.0)", env)
@@ -308,6 +337,96 @@ def test_print_then_parse_gives_the_tree_back(tree):
     again = parse(text, _TREE_ENV)
     assert again == tree
     assert print_expr(again) == text
+
+
+# Code-built trees: every stage from its constructor, with random valid
+# field values (defaults among them), under all four operators.
+_IDX = _TREE_ENV.index(0)
+_FIELDS = st.lists(st.sampled_from(["text", "title", "url"]), max_size=3, unique=True).map(tuple)
+_TEXT = st.text(max_size=10)
+_BACKENDS = st.one_of(
+    st.builds(StubBackend, st.sampled_from(["echo_query", "extractive_first_sentence"])),
+    st.builds(HttpBackend, st.text(min_size=1, max_size=10)),
+)
+
+
+def _templates(*placeholders):
+    part = st.one_of(_TEXT.filter(lambda t: "{" not in t),
+                     st.sampled_from([f"{{{p}}}" for p in placeholders]))
+    return st.builds(PromptTemplate, st.lists(part, max_size=4).map("".join), _TEXT)
+
+
+def _maybe(default, values):
+    return st.one_of(st.just(default), values)
+
+
+_BM25 = st.builds(
+    BM25Retriever, st.just(_IDX),
+    st.one_of(st.none(), st.builds(BM25Params, st.floats(0, 3), st.floats(0, 1))),
+    _maybe(1000, st.integers(1, 50)), _FIELDS)
+_ATTACH = st.builds(TextAttacher, st.just(_IDX), _FIELDS)
+_CONCAT = st.builds(
+    Concatenator, k_docs=st.one_of(st.none(), st.integers(1, 20)), fields=_FIELDS,
+    per_doc_char_budget=_maybe(1500, st.integers(1, 3000)),
+    total_char_budget=_maybe(6000, st.integers(1, 9000)),
+    item_separator=_maybe("\n\n", _TEXT))
+_PROMPT = st.builds(PromptRenderer, _maybe(DEFAULT_RAG_TEMPLATE, _templates("query", "context")))
+_READER = st.builds(Reader, _BACKENDS, st.one_of(st.none(), _templates("query", "context")))
+_ZEROSHOT = st.builds(ZeroShot, _BACKENDS, st.one_of(st.none(), _templates("query")))
+
+
+@st.composite
+def _ircot(draw):
+    fields = draw(_FIELDS)
+    k = draw(_maybe(100, st.integers(1, 50)))
+    return IterativeRetriever(
+        BM25Retriever(_IDX, num_results=k, include_fields=fields), draw(_BACKENDS),
+        draw(st.one_of(st.none(), _templates("query", "context"))),
+        exit_phrase=draw(_maybe("so the answer is", _TEXT)),
+        max_iterations=draw(_maybe(4, st.integers(1, 9))),
+        docs_per_iteration=draw(_maybe(4, st.integers(1, 9))), fields=fields)
+
+
+_CODE_BUILT = st.one_of(
+    st.tuples(_trees(_BM25), st.lists(_trees(_ATTACH), max_size=2), _CONCAT,
+              st.lists(_PROMPT, max_size=2), _READER)
+    .map(lambda t: chain([t[0], *t[1], t[2], *t[3], t[4]])),
+    _ZEROSHOT,
+    _ircot(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_CODE_BUILT)
+def test_code_built_trees_print_and_parse_back(tree):
+    text = print_expr(tree)
+    again = parse(text, _TREE_ENV)
+    assert again == tree
+    assert print_expr(again) == text
+
+
+def _retriever(**kwargs):
+    return BM25Retriever(_IDX, **{"num_results": 100, "include_fields": ("text",)} | kwargs)
+
+
+@pytest.mark.parametrize("leaf", [
+    Reader(StubBackend("scripted", script=[("eiffel", "paris")])),
+    Reader(HttpBackend("m", base_url="http://localhost:1")),
+    Reader(HttpBackend("m", max_input_chars=10)),
+    Concatenator(item_template="{text}!"),
+    IterativeRetriever(_retriever(), StubBackend(), exit_condition=lambda row: True),
+    IterativeRetriever(_retriever(), StubBackend(), exit_condition=phrase_exit("done")),
+    IterativeRetriever(_retriever(bm25=BM25Params(k1=2.0)), StubBackend()),
+    IterativeRetriever(_retriever() % 5, StubBackend()),
+    FnTransformer(Signature(SemType.QC, SemType.A), "mine", lambda f: f),
+    identity(SemType.QC),
+], ids=lambda leaf: type(leaf).__name__)
+def test_fields_the_syntax_cannot_state_are_refused(leaf):
+    upstream = {SemType.R: "bm25", SemType.QC: "bm25 >> concat"}.get(leaf.signature.input)
+    trees = [leaf] + ([parse(upstream, _TREE_ENV) >> leaf] if upstream else [])
+    for tree in trees:
+        with pytest.raises(ValueError, match="cannot print"):
+            print_expr(tree)
 
 
 def test_parsed_pipeline_runs_end_to_end(env, small_index):
