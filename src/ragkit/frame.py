@@ -18,6 +18,7 @@ redefine them. qid and docno are opaque strings compared bytewise.
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DuplicateKey, KindMismatch, MissingColumn, RankViolation
@@ -56,6 +57,21 @@ KEY_COLUMNS: dict[SemType, tuple[str, ...]] = {
     SemType.GA: ("qid",),
     SemType.RA: ("qid", "docno"),
 }
+
+
+# per kind, the types that pass without the isinstance checks of _kind_ok
+_EXACT: dict[str, tuple[type, ...]] = {
+    "text": (str,),
+    "real": (float, int),
+    "int": (int,),
+    "text_list": (),
+}
+
+# per tag, (column, kind, exact types) for every required column, in order
+_CHECKS: dict[SemType, tuple[tuple[str, str, tuple[type, ...]], ...]] = {
+    t: tuple((col, kind, _EXACT[kind]) for col, kind in cols) for t, cols in REQUIRED.items()
+}
+_UNSCORED_R = tuple(c for c in _CHECKS[SemType.R] if c[0] not in ("score", "rank"))
 
 
 def _kind_ok(value, kind: str) -> bool:
@@ -120,7 +136,16 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
     """Check all schema and key invariants of `frame` against `expected`.
 
     Raises the first violation found (MissingColumn, KindMismatch,
-    DuplicateKey, RankViolation). Returns the frame for chaining.
+    DuplicateKey, RankViolation). Returns the frame for chaining. Column and
+    kind errors come first, row by row, then duplicate keys, then ranks.
+
+    One pass over the rows checks each required column against the tag's
+    `_CHECKS` entry: a value of an exact type (`str` for text, `float` or
+    `int` for real, `int` for int) passes at once, anything else goes through
+    `_kind_ok`, which still refuses None and bool. The same pass follows the
+    R rank invariant while rows arrive grouped by qid with ranks 0, 1, 2, ...
+    and scores non-increasing, as the retriever and `assign_ranks` emit them;
+    any other layout is checked by sorting in `_check_ranks`.
 
     `allow_unscored_r` admits R frames whose rows carry neither score nor
     rank (candidate sets produced by the set-union operator); pipeline
@@ -131,36 +156,52 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
             f"frame tagged {frame.semtype} where {expected} expected"
         )
 
-    unscored = (
-        allow_unscored_r
-        and expected is SemType.R
-        and not any(("score" in r or "rank" in r) for r in frame.rows)
-    )
-    required = REQUIRED[expected]
-    if unscored:
-        required = tuple((c, k) for c, k in required if c not in ("score", "rank"))
+    rows = frame.rows
+    checks = _CHECKS[expected]
+    ranked = expected is SemType.R
+    if ranked and allow_unscored_r and not any(("score" in r or "rank" in r) for r in rows):
+        checks, ranked = _UNSCORED_R, False
 
-    for row in frame.rows:
-        for col, kind in required:
-            if col not in row:
-                raise MissingColumn(col, f"in {expected} row {_row_brief(row)}")
-            if row[col] is None or not _kind_ok(row[col], kind):
+    grouped = ranked  # rows so far are qid groups ranked 0, 1, 2, ... in order
+    seen_qids: set[str] = set()
+    qid = prev_score = None
+    next_rank = 0
+    for row in rows:
+        for col, kind, exact in checks:
+            try:
+                value = row[col]
+            except KeyError:
+                raise MissingColumn(col, f"in {expected} row {_row_brief(row)}") from None
+            if type(value) not in exact and not _kind_ok(value, kind):
                 raise KindMismatch(
-                    f"column {col!r} of {expected} row must be {kind}, "
-                    f"got {row[col]!r}"
+                    f"column {col!r} of {expected} row must be {kind}, got {value!r}"
                 )
-        if expected is SemType.R and "rank" in row and row["rank"] < 0:
-            raise KindMismatch(f"rank must be >= 0, got {row['rank']!r}")
+        if ranked:
+            rank = row["rank"]
+            if rank < 0:
+                raise KindMismatch(f"rank must be >= 0, got {rank!r}")
+            if grouped:
+                score = row["score"]
+                if row["qid"] != qid:
+                    qid = row["qid"]
+                    grouped = rank == 0 and qid not in seen_qids
+                    seen_qids.add(qid)
+                    next_rank = 1
+                elif rank != next_rank or score > prev_score:
+                    grouped = False
+                else:
+                    next_rank += 1
+                prev_score = score
 
-    key_cols = KEY_COLUMNS[expected]
-    seen = set()
-    for row in frame.rows:
-        key = tuple(row[c] for c in key_cols)
-        if key in seen:
-            raise DuplicateKey(key if len(key) > 1 else key[0], f"in {expected} frame")
-        seen.add(key)
+    keys = list(map(itemgetter(*KEY_COLUMNS[expected]), rows))
+    if len(set(keys)) != len(keys):
+        seen = set()
+        for key in keys:
+            if key in seen:
+                raise DuplicateKey(key, f"in {expected} frame")
+            seen.add(key)
 
-    if expected is SemType.R and not unscored:
+    if ranked and not grouped:
         _check_ranks(frame)
     return frame
 
@@ -197,12 +238,14 @@ def assign_ranks(rows: Frame | Iterable[Mapping]) -> Frame:
     of rows, never on their input order, and the operation is idempotent.
     """
     raw = rows.rows if isinstance(rows, Frame) else tuple(rows)
+    real = _EXACT["real"]
     for row in raw:
         for col in ("qid", "docno", "score"):
             if col not in row:
                 raise MissingColumn(col, "assign_ranks input")
-        if not _kind_ok(row["score"], "real"):
-            raise KindMismatch(f"score must be numeric, got {row['score']!r}")
+        score = row["score"]
+        if type(score) not in real and not _kind_ok(score, "real"):
+            raise KindMismatch(f"score must be numeric, got {score!r}")
 
     seen = set()
     for row in raw:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from ragkit.errors import DuplicateKey, KindMismatch, MissingColumn, RankViolation
@@ -153,6 +154,15 @@ def test_assign_ranks_rejects_bad_input():
     with pytest.raises(DuplicateKey):
         assign_ranks([{"qid": "q", "docno": "d", "score": 1.0},
                       {"qid": "q", "docno": "d", "score": 2.0}])
+
+
+def test_assign_ranks_score_kind():
+    for score in (1, 2.5, np.float64(0.5)):
+        assert assign_ranks([{"qid": "q", "docno": "d", "score": score}]).rows[0]["rank"] == 0
+    for score in (True, None, np.int64(1)):
+        with pytest.raises(KindMismatch) as err:
+            assign_ranks([{"qid": "q", "docno": "d", "score": score}])
+        assert str(err.value) == f"score must be numeric, got {score!r}"
 
 
 def test_assign_ranks_keeps_extra_columns():

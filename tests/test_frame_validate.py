@@ -1,0 +1,251 @@
+"""`validate` against an oracle: the two-pass validator it replaced, kept
+here verbatim (with the `_kind_ok` it called) as `bm25_score` is kept for
+the retriever. On any frame both must accept, or both must raise the same
+exception class with the same message."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import ragkit.frame
+from ragkit.datasets import run_lines
+from ragkit.errors import DuplicateKey, KindMismatch, MissingColumn, RankViolation
+from ragkit.frame import (
+    KEY_COLUMNS,
+    REQUIRED,
+    Frame,
+    SemType,
+    _row_brief,
+    assign_ranks,
+    validate,
+)
+from ragkit.index import BM25Retriever, index_corpus
+from ragkit.transformer import run
+
+# -- the oracle ----------------------------------------------------------------
+
+
+def _kind_ok(value, kind: str) -> bool:
+    if kind == "text":
+        return isinstance(value, str)
+    if kind == "real":
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "int":
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind == "text_list":
+        return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+    raise ValueError(f"unknown column kind {kind!r}")
+
+
+def oracle_validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) -> Frame:
+    if frame.semtype is not expected:
+        raise KindMismatch(
+            f"frame tagged {frame.semtype} where {expected} expected"
+        )
+
+    unscored = (
+        allow_unscored_r
+        and expected is SemType.R
+        and not any(("score" in r or "rank" in r) for r in frame.rows)
+    )
+    required = REQUIRED[expected]
+    if unscored:
+        required = tuple((c, k) for c, k in required if c not in ("score", "rank"))
+
+    for row in frame.rows:
+        for col, kind in required:
+            if col not in row:
+                raise MissingColumn(col, f"in {expected} row {_row_brief(row)}")
+            if row[col] is None or not _kind_ok(row[col], kind):
+                raise KindMismatch(
+                    f"column {col!r} of {expected} row must be {kind}, "
+                    f"got {row[col]!r}"
+                )
+        if expected is SemType.R and "rank" in row and row["rank"] < 0:
+            raise KindMismatch(f"rank must be >= 0, got {row['rank']!r}")
+
+    key_cols = KEY_COLUMNS[expected]
+    seen = set()
+    for row in frame.rows:
+        key = tuple(row[c] for c in key_cols)
+        if key in seen:
+            raise DuplicateKey(key if len(key) > 1 else key[0], f"in {expected} frame")
+        seen.add(key)
+
+    if expected is SemType.R and not unscored:
+        oracle_check_ranks(frame)
+    return frame
+
+
+def oracle_check_ranks(frame: Frame) -> None:
+    # per qid: ranks must be exactly {0..n-1} with score non-increasing in rank
+    by_qid: dict[str, list[dict]] = {}
+    for row in frame.rows:
+        by_qid.setdefault(row["qid"], []).append(row)
+    for qid, rows in by_qid.items():
+        ranks = sorted(r["rank"] for r in rows)
+        if ranks != list(range(len(rows))):
+            raise RankViolation(qid, f"ranks {ranks} are not 0..{len(rows) - 1}")
+        ordered = sorted(rows, key=lambda r: r["rank"])
+        for prev, cur in zip(ordered, ordered[1:]):
+            if cur["score"] > prev["score"]:
+                raise RankViolation(
+                    qid,
+                    f"score increases from rank {prev['rank']} to {cur['rank']}",
+                )
+
+
+def _outcome(check, frame, expected, allow_unscored_r):
+    try:
+        assert check(frame, expected, allow_unscored_r=allow_unscored_r) is frame
+    except (MissingColumn, KindMismatch, DuplicateKey, RankViolation) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# -- random frames with injected violations ---------------------------------------
+
+_TEXT = st.sampled_from(["a", "b", "c", "q1", "d1", "é"])
+_QIDS = st.sampled_from(["q1", "q2", "q3"])
+_VALUES = {
+    "text": _TEXT,
+    "real": st.one_of(st.floats(-3, 3), st.integers(-3, 3), st.just(float("nan"))),
+    "int": st.integers(0, 3),
+    "text_list": st.lists(_TEXT, max_size=2),
+}
+
+VIOLATIONS = (
+    "missing column", "None", "bool", "np.int64 rank", "np.float64 score",
+    "non-str ganswer item", "negative rank", "duplicate key", "rank gap",
+    "rising score", "moved to another qid", "partly scored",
+)
+RANK_VIOLATIONS = ("rank gap", "rising score", "moved to another qid")
+
+
+def _inject(draw, rows, name):
+    """Edit one drawn row in place so that it carries violation `name`;
+    rows without the column it needs are left alone."""
+    i = draw(st.integers(0, len(rows) - 1))
+    row = rows[i]
+    if name in ("missing column", "None", "bool") and row:
+        col = draw(st.sampled_from(sorted(row)))
+        if name == "missing column":
+            del row[col]
+        else:
+            row[col] = None if name == "None" else True
+    elif name == "np.int64 rank" and row.get("rank") is not None:
+        row["rank"] = np.int64(row["rank"])
+    elif name == "np.float64 score" and row.get("score") is not None:
+        row["score"] = np.float64(row["score"])
+    elif name == "non-str ganswer item" and isinstance(row.get("ganswer"), list):
+        row["ganswer"] = [*row["ganswer"], 7]
+    elif name == "negative rank" and "rank" in row:
+        row["rank"] = draw(st.integers(-2, -1))
+    elif name == "duplicate key":
+        other = rows[draw(st.integers(0, len(rows) - 1))]
+        row.update({c: other[c] for c in ("qid", "docno") if c in other})
+    elif name == "rank gap" and row.get("rank") is not None:
+        row["rank"] += draw(st.integers(1, 2))
+    elif name == "rising score" and "score" in row:
+        row["score"] = 4.0  # above every drawn score
+    elif name == "moved to another qid":
+        row["qid"] = draw(_QIDS)
+    elif name == "partly scored":
+        row.pop("score", None)
+        row.pop("rank", None)
+
+
+@st.composite
+def _cases(draw):
+    # mostly R frames under their own tag: they have the most to check
+    semtype = draw(st.one_of(st.just(SemType.R), st.just(SemType.R), st.sampled_from(SemType)))
+    expected = draw(st.one_of(st.just(semtype), st.just(semtype), st.sampled_from(SemType)))
+    if semtype is SemType.R:
+        # grouped by qid, ranks 0, 1, 2, ... and scores non-increasing,
+        # as the retriever emits them
+        rows = []
+        for qid in draw(st.lists(_QIDS, min_size=1, max_size=3, unique=True)):
+            scores = sorted(draw(st.lists(_VALUES["real"], min_size=1, max_size=4)), reverse=True)
+            rows += [{"qid": qid, "docno": f"d{len(rows) + rank}", "score": s, "rank": rank}
+                     for rank, s in enumerate(scores)]
+        layout = draw(st.one_of(st.just("grouped"),
+                                st.sampled_from(["grouped", "interleaved", "shuffled"])))
+        if layout == "interleaved":
+            rows = sorted(rows, key=lambda r: (r["rank"], r["qid"]))
+        elif layout == "shuffled":
+            rows = draw(st.permutations(rows))
+        if not draw(st.integers(0, 3)):  # an unscored candidate set
+            for row in rows:
+                del row["score"], row["rank"]
+    else:
+        rows = [{col: draw(_VALUES[kind]) for col, kind in REQUIRED[semtype]}
+                for _ in range(draw(st.integers(0, 8)))]
+    for row in rows:
+        if draw(st.booleans()):
+            row["extra"] = draw(_TEXT)
+    # half of the drawn violations break the rank invariant: most others
+    # raise before ranks are checked
+    names = st.one_of(st.sampled_from(VIOLATIONS), st.sampled_from(RANK_VIOLATIONS))
+    violations = draw(st.lists(names, max_size=3)) if rows else []
+    for name in violations:
+        _inject(draw, rows, name)
+    return Frame(semtype, rows), expected, draw(st.booleans())
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_cases())
+def test_validate_agrees_with_the_oracle(case):
+    frame, expected, allow_unscored_r = case
+    assert _outcome(validate, frame, expected, allow_unscored_r) == \
+        _outcome(oracle_validate, frame, expected, allow_unscored_r)
+
+
+# -- which rank check carries which layout ----------------------------------------
+
+
+def _no_sorting_check(monkeypatch):
+    def refuse(frame):
+        raise AssertionError("rank check fell back to sorting")
+
+    monkeypatch.setattr(ragkit.frame, "_check_ranks", refuse)
+
+
+def test_retriever_output_is_rank_checked_in_the_one_pass(monkeypatch):
+    rng = random.Random(3)
+    vocab = ["ant", "bee", "cat", "dog", "eel"]
+    idx = index_corpus([{"docno": f"d{i:04d}", "text": " ".join(rng.choices(vocab, k=6))}
+                        for i in range(1500)])
+    q = Frame(SemType.Q, [{"qid": "q2", "query": "ant bee"}, {"qid": "q1", "query": "cat"}])
+    _no_sorting_check(monkeypatch)
+    out = run(BM25Retriever(idx, num_results=1000), q)
+    lines = run_lines(out)
+    assert len(out) == len(lines) == 2000
+    validate(assign_ranks(out), SemType.R)
+
+
+def test_other_layouts_fall_back_to_the_sorting_check(monkeypatch):
+    rows = assign_ranks([{"qid": q, "docno": f"d{i}", "score": float(i % 3)}
+                         for q in ("q1", "q2") for i in range(6)]).rows
+    calls = []
+    check = ragkit.frame._check_ranks
+
+    def counted(frame):
+        calls.append(frame)
+        check(frame)
+
+    monkeypatch.setattr(ragkit.frame, "_check_ranks", counted)
+    shuffled = list(rows)
+    random.Random(0).shuffle(shuffled)
+    interleaved = sorted(rows, key=lambda r: (r["rank"], r["qid"]))
+    for layout in (shuffled, interleaved):
+        validate(Frame(SemType.R, layout), SemType.R)
+    assert len(calls) == 2
+
+
+def test_a_qid_that_returns_at_rank_0_is_not_a_new_group():
+    rows = [{"qid": qid, "docno": docno, "score": 1.0, "rank": 0}
+            for qid, docno in (("q1", "d1"), ("q2", "d2"), ("q1", "d3"))]
+    with pytest.raises(RankViolation, match=r"ranks \[0, 0\] are not 0\.\.1"):
+        validate(Frame(SemType.R, rows), SemType.R)
