@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     UnknownDataset,
 )
-from .frame import Frame, SemType, validate
+from .frame import Frame, SemType, _in_rank_order, validate
 
 
 def _jsonl_records(path: str | Path, required: Sequence[str] = (),
@@ -104,10 +104,9 @@ def run_lines(frame: Frame, tag: str = "run") -> list[str]:
     """An R frame as six-column run lines, rows ordered by (qid, rank),
     scores fixed at six decimal places."""
     validate(frame, SemType.R)
-    rows = sorted(frame.rows, key=lambda r: (r["qid"], r["rank"]))
     return [
         f"{r['qid']} Q0 {r['docno']} {r['rank']} {r['score']:.6f} {tag}"
-        for r in rows
+        for r in _in_rank_order(frame)
     ]
 
 

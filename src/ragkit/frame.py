@@ -94,13 +94,30 @@ class Frame:
     :func:`validate`. Pipeline execution validates its input frame and each
     leaf's output once; frames built by the combinators from those are not
     re-checked.
+
+    A frame remembers the strict check it has passed, so validating it
+    again for the same type costs no per-row work. Changing a row in place
+    after construction is unsupported: a repeat check will not see the
+    change.
     """
 
-    __slots__ = ("semtype", "_rows")
+    __slots__ = ("semtype", "_rows", "_checked")
 
     def __init__(self, semtype: SemType | None, rows: Iterable[Mapping]) -> None:
         self.semtype = semtype
         self._rows: tuple[dict, ...] = tuple(dict(r) for r in rows)
+        # (type, rows in (qid, rank) order) once validate has passed it
+        self._checked: tuple[SemType, bool] | None = None
+
+    @classmethod
+    def _owning(cls, semtype: SemType | None, rows: Iterable[dict]) -> Frame:
+        """A frame over `rows` without the defensive copy, for producers
+        that build fresh dicts and keep no reference to them."""
+        frame = cls.__new__(cls)
+        frame.semtype = semtype
+        frame._rows = tuple(rows)
+        frame._checked = None
+        return frame
 
     @property
     def rows(self) -> tuple[dict, ...]:
@@ -142,27 +159,40 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
     One pass over the rows checks each required column against the tag's
     `_CHECKS` entry: a value of an exact type (`str` for text, `float` or
     `int` for real, `int` for int) passes at once, anything else goes through
-    `_kind_ok`, which still refuses None and bool. The same pass follows the
-    R rank invariant while rows arrive grouped by qid with ranks 0, 1, 2, ...
-    and scores non-increasing, as the retriever and `assign_ranks` emit them;
+    `_kind_ok`, which still refuses None and bool. An R row's rank must be
+    non-negative and its score not NaN. The same pass follows the R rank
+    invariant while rows arrive grouped by qid with ranks 0, 1, 2, ... and
+    scores non-increasing, as the retriever and `assign_ranks` emit them;
     any other layout is checked by sorting in `_check_ranks`.
+
+    A frame remembers a strict pass, and with it whether its rows are
+    already in (qid, rank) order: validating it again for the same type
+    returns at once, after the tag check. Rows changed in place after
+    construction are therefore not checked again; doing so is unsupported.
 
     `allow_unscored_r` admits R frames whose rows carry neither score nor
     rank (candidate sets produced by the set-union operator); pipeline
     execution validates with this enabled, direct calls default to strict.
+    That lenient pass is not remembered, so a later strict check runs in
+    full.
     """
     if frame.semtype is not expected:
         raise KindMismatch(
             f"frame tagged {frame.semtype} where {expected} expected"
         )
+    checked = frame._checked
+    if checked is not None and checked[0] is expected:
+        return frame
 
     rows = frame.rows
     checks = _CHECKS[expected]
     ranked = expected is SemType.R
-    if ranked and allow_unscored_r and not any(("score" in r or "rank" in r) for r in rows):
+    lenient = ranked and allow_unscored_r and not any(("score" in r or "rank" in r) for r in rows)
+    if lenient:
         checks, ranked = _UNSCORED_R, False
 
     grouped = ranked  # rows so far are qid groups ranked 0, 1, 2, ... in order
+    ascending = True  # and those groups come in ascending qid order
     seen_qids: set[str] = set()
     qid = prev_score = None
     next_rank = 0
@@ -178,11 +208,14 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
                 )
         if ranked:
             rank = row["rank"]
+            score = row["score"]
             if rank < 0:
                 raise KindMismatch(f"rank must be >= 0, got {rank!r}")
+            if score != score:
+                raise KindMismatch(f"score must be numeric, got {score!r}")
             if grouped:
-                score = row["score"]
                 if row["qid"] != qid:
+                    ascending = ascending and (qid is None or row["qid"] > qid)
                     qid = row["qid"]
                     grouped = rank == 0 and qid not in seen_qids
                     seen_qids.add(qid)
@@ -203,7 +236,17 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
 
     if ranked and not grouped:
         _check_ranks(frame)
+    if not lenient:
+        frame._checked = (expected, grouped and ascending)
     return frame
+
+
+def _in_rank_order(frame: Frame) -> Sequence[dict]:
+    """The rows of a frame that passed `validate` as R, in (qid, rank)
+    order: as they are when the check found them so, sorted otherwise."""
+    if frame._checked == (SemType.R, True):
+        return frame.rows
+    return sorted(frame.rows, key=lambda r: (r["qid"], r["rank"]))
 
 
 def _check_ranks(frame: Frame) -> None:
@@ -232,10 +275,11 @@ def _row_brief(row: Mapping) -> str:
 def assign_ranks(rows: Frame | Iterable[Mapping]) -> Frame:
     """Sort scored rows and assign contiguous ranks, returning an R frame.
 
-    Rows need qid, docno and a numeric score; any existing rank column is
-    recomputed. Total order: qid ascending, then score descending, then
-    docno ascending (the tie rule). The output depends only on the multiset
-    of rows, never on their input order, and the operation is idempotent.
+    Rows need qid, docno and a numeric score that is not NaN; any existing
+    rank column is recomputed. Total order: qid ascending, then score
+    descending, then docno ascending (the tie rule). The output depends only
+    on the multiset of rows, never on their input order, and the operation
+    is idempotent.
     """
     raw = rows.rows if isinstance(rows, Frame) else tuple(rows)
     real = _EXACT["real"]
@@ -244,7 +288,7 @@ def assign_ranks(rows: Frame | Iterable[Mapping]) -> Frame:
             if col not in row:
                 raise MissingColumn(col, "assign_ranks input")
         score = row["score"]
-        if type(score) not in real and not _kind_ok(score, "real"):
+        if (type(score) not in real and not _kind_ok(score, "real")) or score != score:
             raise KindMismatch(f"score must be numeric, got {score!r}")
 
     seen = set()

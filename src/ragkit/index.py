@@ -468,6 +468,7 @@ class BM25Retriever(Transformer):
         n = idx.n_docs
         k1 = self.bm25.k1
         norm = self._norm
+        docnos = idx._docnos
         out_rows: list[dict] = []
         for row in frame.rows:
             acc = np.zeros(n)
@@ -483,20 +484,19 @@ class BM25Retriever(Transformer):
                 idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
                 acc[doc_ids] += idf * (tfs * (k1 + 1.0)) / (tfs + norm[doc_ids])
             doc_ids, scores = self._top(acc)
-            for rank, (doc_id, score) in enumerate(zip(doc_ids, scores)):
-                out = {
-                    "qid": row["qid"],
-                    "docno": idx.docno(doc_id),
-                    "score": score,
-                    "rank": rank,
-                    "query": row["query"],
-                }
-                if self.include_fields:
+            qid, query = row["qid"], row["query"]
+            rows = [
+                {"qid": qid, "docno": docnos[doc_id], "score": score, "rank": rank, "query": query}
+                for rank, (doc_id, score) in enumerate(zip(doc_ids, scores))
+            ]
+            if self.include_fields:
+                for out, doc_id in zip(rows, doc_ids):
                     stored = idx.stored(doc_id)
                     for f in self.include_fields:
                         out[f] = stored.get(f, "")
-                out_rows.append(out)
-        return Frame(SemType.R, out_rows)
+            out_rows += rows
+        # fresh dicts that nothing else holds: the frame takes them uncopied
+        return Frame._owning(SemType.R, out_rows)
 
 
 bm25_retriever = BM25Retriever

@@ -448,7 +448,9 @@ def run(p: Transformer, frame: Frame, trace: TraceFn | None = None) -> Frame:
     invoked exactly once per position per run (under a cutoff, as its
     `_cut` copy), and its output is validated where it is produced, under
     the leaf's path; combinator outputs are built from those validated
-    frames and are not checked again, so every frame is validated once.
+    frames and are not checked again, so every frame is validated once; a
+    frame that arrives already checked, as a shared prefix's output does in
+    `experiment`, passes on its remembered check.
 
     `trace`, when given, is called as trace(path, node_name, out_row_count)
     after every node finishes.

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ragkit.datasets import (
     DatasetRegistry,
@@ -21,7 +22,9 @@ from ragkit.errors import (
     ParseError,
     UnknownDataset,
 )
-from ragkit.frame import SemType, assign_ranks
+from ragkit.frame import Frame, SemType, assign_ranks, validate
+from ragkit.index import BM25Retriever, index_corpus
+from ragkit.transformer import run
 
 FIXTURES = Path(__file__).parent / "fixtures" / "nq_mini"
 
@@ -146,6 +149,59 @@ class TestRunFiles:
         p.write_text("q1 Q0 d1 1 1.000000 tag\n")  # rank 1 with no rank 0
         with pytest.raises(Exception):
             read_run(p)
+
+
+def _reference_lines(rows, tag):
+    ordered = sorted(rows, key=lambda r: (r["qid"], r["rank"]))
+    return [f"{r['qid']} Q0 {r['docno']} {r['rank']} {r['score']:.6f} {tag}" for r in ordered]
+
+
+@st.composite
+def _ranked_layouts(draw):
+    """A valid R frame's rows from assign_ranks over several qids, laid out
+    as ranked, with qids descending, or shuffled."""
+    rows = []
+    for qid in draw(st.lists(st.sampled_from(["q1", "q10", "q2", "Q3", "é"]),
+                             min_size=1, max_size=4, unique=True)):
+        scores = draw(st.lists(st.one_of(st.floats(-5, 5, allow_nan=False), st.integers(-5, 5)),
+                               min_size=1, max_size=5))
+        rows += [{"qid": qid, "docno": f"d{len(rows) + i}", "score": s}
+                 for i, s in enumerate(scores)]
+    rows = list(assign_ranks(rows).rows)
+    layout = draw(st.sampled_from(["ranked", "qids descending", "shuffled"]))
+    if layout == "qids descending":
+        rows = sorted(sorted(rows, key=lambda r: r["rank"]), key=lambda r: r["qid"], reverse=True)
+    elif layout == "shuffled":
+        rows = draw(st.permutations(rows))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ranked_layouts(), st.sampled_from(["frame", "read_run"]), st.booleans())
+def test_run_lines_sorts_by_qid_then_rank_in_any_row_order(tmp_path_factory, rows, source,
+                                                           checked_first):
+    if source == "read_run":
+        path = tmp_path_factory.mktemp("run") / "run.txt"
+        path.write_text("".join(f"{line}\n" for line in _reference_lines(rows, "t")[::-1]))
+        frame = read_run(path)
+    else:
+        frame = Frame(SemType.R, rows)
+    if checked_first:
+        validate(frame, SemType.R)
+    want = _reference_lines(frame.rows, "t")
+    assert run_lines(frame, tag="t") == want
+    path = tmp_path_factory.mktemp("out") / "run.txt"
+    write_run(frame, path, tag="t")
+    assert path.read_text().splitlines() == want
+
+
+def test_run_lines_of_a_retriever_frame_with_descending_qids():
+    idx = index_corpus([{"docno": f"d{i}", "text": text}
+                        for i, text in enumerate(["ant bee", "bee cat", "cat dog ant"])])
+    q = Frame(SemType.Q, [{"qid": "q2", "query": "ant"}, {"qid": "q1", "query": "cat bee"}])
+    out = run(BM25Retriever(idx), q)
+    assert [r["qid"] for r in out.rows] == ["q2", "q2", "q1", "q1", "q1"]
+    assert run_lines(out) == _reference_lines(out.rows, "run")
 
 
 class TestRegistry:

@@ -165,6 +165,21 @@ def test_assign_ranks_score_kind():
         assert str(err.value) == f"score must be numeric, got {score!r}"
 
 
+def test_nan_scores_are_refused():
+    # NaN compares false both ways, so it would pass the rising-score rule
+    # and make assign_ranks depend on the input order
+    nan = float("nan")
+    ranked = [{"qid": "q", "docno": f"d{i}", "score": s, "rank": i}
+              for i, s in enumerate((1.0, nan, 2.0))]
+    for allow in (False, True):
+        with pytest.raises(KindMismatch, match="score must be numeric, got nan"):
+            validate(Frame(SemType.R, ranked), SemType.R, allow_unscored_r=allow)
+    scored = [{"qid": "q", "docno": d, "score": s} for d, s in zip("abc", (1.0, nan, 2.0))]
+    for rows in (scored, scored[::-1]):
+        with pytest.raises(KindMismatch, match="score must be numeric, got nan"):
+            assign_ranks(rows)
+
+
 def test_assign_ranks_keeps_extra_columns():
     f = assign_ranks([{"qid": "q", "docno": "d", "score": 1.0, "text": "body"}])
     assert f.rows[0]["text"] == "body"

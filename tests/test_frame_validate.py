@@ -1,6 +1,7 @@
 """`validate` against an oracle: the two-pass validator it replaced, kept
-here verbatim (with the `_kind_ok` it called) as `bm25_score` is kept for
-the retriever. On any frame both must accept, or both must raise the same
+here (with the `_kind_ok` it called) as `bm25_score` is kept for the
+retriever, changed only by the rule added since that a scored R row's score
+must not be NaN. On any frame both must accept, or both must raise the same
 exception class with the same message."""
 
 import random
@@ -65,6 +66,8 @@ def oracle_validate(frame: Frame, expected: SemType, allow_unscored_r: bool = Fa
                 )
         if expected is SemType.R and "rank" in row and row["rank"] < 0:
             raise KindMismatch(f"rank must be >= 0, got {row['rank']!r}")
+        if expected is SemType.R and "score" in row and row["score"] != row["score"]:
+            raise KindMismatch(f"score must be numeric, got {row['score']!r}")
 
     key_cols = KEY_COLUMNS[expected]
     seen = set()
@@ -249,3 +252,63 @@ def test_a_qid_that_returns_at_rank_0_is_not_a_new_group():
             for qid, docno in (("q1", "d1"), ("q2", "d2"), ("q1", "d3"))]
     with pytest.raises(RankViolation, match=r"ranks \[0, 0\] are not 0\.\.1"):
         validate(Frame(SemType.R, rows), SemType.R)
+
+
+# -- a frame remembers the check it passed -------------------------------------
+
+
+class _NoRows:
+    """Stands in for a checked frame's rows: any per-row work fails."""
+
+    def _touched(self, *args):
+        raise AssertionError("validate read the rows of a checked frame")
+
+    __iter__ = __len__ = __getitem__ = _touched
+
+
+@settings(max_examples=500, deadline=None)
+@given(_cases(), st.booleans())
+def test_validating_twice_agrees_with_the_oracle(case, second_allow):
+    frame, expected, allow_unscored_r = case
+    for allow in (allow_unscored_r, second_allow):
+        assert _outcome(validate, frame, expected, allow) == \
+            _outcome(oracle_validate, frame, expected, allow)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cases(), st.booleans())
+def test_a_second_check_does_no_per_row_work(case, allow):
+    frame, expected, first_allow = case
+    try:
+        validate(frame, expected, allow_unscored_r=first_allow)
+    except (MissingColumn, KindMismatch, DuplicateKey, RankViolation):
+        return
+    if _outcome(oracle_validate, frame, expected, False) is not None:
+        return  # passed only as an unscored candidate set, which is not remembered
+    frame._rows = _NoRows()
+    assert validate(frame, expected, allow_unscored_r=allow) is frame
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cases())
+def test_a_checked_frame_keeps_its_tag_check(case):
+    frame, _, allow_unscored_r = case
+    try:
+        validate(frame, frame.semtype, allow_unscored_r=allow_unscored_r)
+    except (MissingColumn, KindMismatch, DuplicateKey, RankViolation):
+        return
+    for other in SemType:
+        if other is not frame.semtype:
+            with pytest.raises(KindMismatch, match=f"tagged {frame.semtype} where {other}"):
+                validate(frame, other)
+
+
+def test_a_lenient_pass_is_not_remembered():
+    idx = index_corpus([{"docno": f"d{i}", "text": text}
+                        for i, text in enumerate(["ant bee", "bee cat", "cat dog"])])
+    q = Frame(SemType.Q, [{"qid": "q1", "query": "bee"}])
+    union = run(BM25Retriever(idx) | BM25Retriever(idx, num_results=1), q)
+    assert union.rows and all("score" not in r for r in union.rows)
+    assert validate(union, SemType.R, allow_unscored_r=True) is union
+    with pytest.raises(MissingColumn, match="'score'"):
+        validate(union, SemType.R)
