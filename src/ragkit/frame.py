@@ -310,7 +310,7 @@ def assign_ranks(rows: Frame | Iterable[Mapping]) -> Frame:
         new["rank"] = rank
         rank += 1
         out.append(new)
-    return Frame(SemType.R, out)
+    return Frame._owning(SemType.R, out)
 
 
 def rank_ordered(rows: Sequence[Mapping]) -> list:

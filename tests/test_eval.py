@@ -1,12 +1,18 @@
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
+import ragkit
 from ragkit.errors import (
     EmptyGold,
     LengthMismatch,
@@ -17,6 +23,7 @@ from ragkit.errors import (
 from ragkit.eval import (
     EM,
     F1,
+    _t_two_sided,
     bonferroni,
     exact_match,
     experiment,
@@ -115,6 +122,62 @@ class TestPairedTTest:
             b = [rng.random() for _ in range(n)]
             expected = scipy_stats.ttest_rel(a, b).pvalue
             assert paired_ttest(a, b) == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 2000), seed=st.integers(0, 2**32 - 1),
+           shift=st.floats(-0.2, 0.2))
+    def test_matches_scipy_up_to_2000_queries(self, n, seed, shift):
+        rng = random.Random(seed)
+        a = [rng.random() + shift for _ in range(n)]
+        b = [rng.random() for _ in range(n)]
+        expected = scipy_stats.ttest_rel(a, b).pvalue
+        assert paired_ttest(a, b) == pytest.approx(expected, abs=1e-12)
+
+    def test_tail_closed_forms(self):
+        # df=1 is the Cauchy tail, df=2 has an algebraic one; the second
+        # forms below are the same values without cancellation at large t
+        for k in range(-600, 301):
+            t = 10 ** (k / 50)
+            p1, p2 = _t_two_sided(t, 1), _t_two_sided(t, 2)
+            s = math.sqrt(2 + t * t)
+            assert p1 == pytest.approx(1 - 2 * math.atan(t) / math.pi, abs=1e-14)
+            assert p1 == pytest.approx(2 * math.atan(1 / t) / math.pi, rel=1e-13)
+            assert p2 == pytest.approx(1 - t / s, abs=1e-14)
+            assert p2 == pytest.approx(2 / (s * (s + t)), rel=1e-13)
+
+    def test_tail_keeps_its_digits_at_large_df(self):
+        # lgamma(a + 1/2) - lgamma(a) alone is off by ~1e-12 at df = 5000
+        for df in (5000, 10**5, 10**7):
+            for t in (0.01, 0.5, 0.99, 1.01, 1.7, 2.5, 4.0, 8.0):
+                expected = 2 * scipy_stats.t.sf(t, df)
+                assert _t_two_sided(t, df) == pytest.approx(expected, abs=1e-13)
+
+    def test_huge_t_against_small_df(self):
+        for df in (1, 2, 3, 10):
+            for t in (1e16, 1e100, 1e154, 1e155, 1e300, math.inf):
+                p = _t_two_sided(t, df)
+                assert 0 <= p <= _t_two_sided(1e6, df)
+        # t near 1e16 on three degrees of freedom: x = df / (df + t^2)
+        # is tiny and 1 - x rounds to 1.0
+        p = paired_ttest([1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1e-16])
+        assert 0 <= p < 1e-40
+
+    @settings(max_examples=300, deadline=None)
+    @given(df=st.integers(1, 10**5), t=st.floats(1e-12, 1e6),
+           step=st.floats(1e-9, 10))
+    # either side of the switch to I_{1-x}(b, a), at t = 1 for every df
+    @example(df=1, t=0.999999, step=2e-6)
+    @example(df=30, t=0.999999, step=2e-6)
+    @example(df=10**5, t=0.999999, step=2e-6)
+    def test_tail_never_rises_with_t(self, df, t, step):
+        assert _t_two_sided(t * (1 + step), df) <= _t_two_sided(t, df)
+
+    def test_import_does_not_load_scipy(self):
+        src = str(Path(ragkit.__file__).parents[1])
+        code = "import sys, ragkit, ragkit.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_degenerate_conventions(self):
         assert paired_ttest([1, 1, 1], [1, 1, 1]) == 1.0

@@ -146,6 +146,27 @@ def test_assign_ranks_is_order_insensitive_and_idempotent():
     assert assign_ranks(base) == base
 
 
+def test_assign_ranks_output_owns_its_rows():
+    rng = random.Random(11)
+    rows = [{"qid": f"q{rng.randint(0, 2)}", "docno": f"d{i}",
+             "score": rng.choice([0.5, 1.0, 3.0]), "text": f"t{i}"} for i in range(30)]
+    expected = []
+    for qid in sorted({r["qid"] for r in rows}):
+        ranked = sorted((r for r in rows if r["qid"] == qid),
+                        key=lambda r: (-r["score"], r["docno"]))
+        expected += [{**r, "rank": i} for i, r in enumerate(ranked)]
+    for _ in range(5):
+        shuffled = [dict(r) for r in rows]
+        rng.shuffle(shuffled)
+        for given in (shuffled, Frame(None, shuffled)):
+            out = assign_ranks(given)
+            assert list(out.rows) == expected
+            for row in given:
+                row["score"], row["text"] = -1.0, "changed"
+            assert list(out.rows) == expected
+            validate(out, SemType.R)
+
+
 def test_assign_ranks_rejects_bad_input():
     with pytest.raises(MissingColumn):
         assign_ranks([{"qid": "q", "docno": "d"}])
