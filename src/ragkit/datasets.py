@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import configparser
 import json
+from functools import partialmethod
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import (
     EmptyGold,
@@ -22,13 +23,15 @@ from .errors import (
     ParseError,
     UnknownDataset,
 )
-from .frame import Frame, SemType, _in_rank_order, validate
+from .frame import Frame, SemType, rank_ordered, validate
+
+_T = TypeVar("_T")
 
 
-def _jsonl_records(path: str | Path, required: Sequence[str] = (),
-                   label: str = "") -> Iterator[dict]:
-    """The JSON objects of a JSONL file, blank lines skipped; an object
-    missing a required field fails as MissingField at path:line plus label."""
+def _parsed_lines(path: str | Path, parse: Callable[[str], _T]) -> Iterator[tuple[int, _T]]:
+    """(line number, parse(line)) for each non-blank line of a UTF-8 file,
+    numbered from 1; a ValueError from parse fails as ParseError at
+    path:line, and a missing file as ParseError at path."""
     p = Path(path)
     if not p.exists():
         raise ParseError("file not found", source=str(p))
@@ -37,15 +40,28 @@ def _jsonl_records(path: str | Path, required: Sequence[str] = (),
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                value = parse(line)
+            except ValueError as exc:
                 raise ParseError(str(exc), source=str(p), line=lineno) from None
-            if not isinstance(obj, dict):
-                raise ParseError("line is not a JSON object", source=str(p), line=lineno)
-            for name in required:
-                if name not in obj:
-                    raise MissingField(name, f"{path}:{lineno}{label}")
-            yield obj
+            yield lineno, value
+
+
+def _json_object(line: str) -> dict:
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("line is not a JSON object")
+    return obj
+
+
+def _jsonl_records(path: str | Path, required: Sequence[str] = (),
+                   label: str = "") -> Iterator[dict]:
+    """The JSON objects of a JSONL file, blank lines skipped; an object
+    missing a required field fails as MissingField at path:line plus label."""
+    for lineno, obj in _parsed_lines(path, _json_object):
+        for name in required:
+            if name not in obj:
+                raise MissingField(name, f"{path}:{lineno}{label}")
+        yield obj
 
 
 def load_corpus(paths: str | Path | Sequence[str | Path]) -> Iterator[dict]:
@@ -102,42 +118,28 @@ def write_run(frame: Frame, path: str | Path, tag: str = "run") -> None:
 
 def run_lines(frame: Frame, tag: str = "run") -> list[str]:
     """An R frame as six-column run lines, rows ordered by (qid, rank),
-    scores fixed at six decimal places."""
+    scores fixed at six decimal places. The tag must be one non-empty word,
+    so that `read_run` can read the lines back."""
+    if not isinstance(tag, str) or tag.split() != [tag]:
+        raise ValueError(f"run tag must be a non-empty str without whitespace, got {tag!r}")
     validate(frame, SemType.R)
     return [
         f"{r['qid']} Q0 {r['docno']} {r['rank']} {r['score']:.6f} {tag}"
-        for r in _in_rank_order(frame)
+        for r in rank_ordered(frame)
     ]
+
+
+def _run_row(line: str) -> dict:
+    parts = line.split()
+    if len(parts) != 6:
+        raise ValueError(f"expected 6 columns, got {len(parts)}")
+    qid, _q0, docno, rank, score, _tag = parts
+    return {"qid": qid, "docno": docno, "rank": int(rank), "score": float(score)}
 
 
 def read_run(path: str | Path) -> Frame:
     """Parse a six-column run file back into an R frame."""
-    rows = []
-    p = Path(path)
-    if not p.exists():
-        raise ParseError("file not found", source=str(p))
-    with p.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ParseError(
-                    f"expected 6 columns, got {len(parts)}",
-                    source=str(p), line=lineno,
-                )
-            qid, _q0, docno, rank, score, _tag = parts
-            try:
-                rows.append({
-                    "qid": qid,
-                    "docno": docno,
-                    "rank": int(rank),
-                    "score": float(score),
-                })
-            except ValueError as exc:
-                raise ParseError(str(exc), source=str(p), line=lineno) from None
-    frame = Frame(SemType.R, rows)
+    frame = Frame(SemType.R, [row for _, row in _parsed_lines(path, _run_row)])
     validate(frame, SemType.R)
     return frame
 
@@ -209,17 +211,14 @@ class DatasetRegistry:
     def get_corpus(self, name: str) -> Iterator[dict]:
         return load_corpus(self.corpus_paths(name))
 
-    def topics_path(self, name: str, split: str) -> Path:
-        entry = self._entry(name)
-        if split not in entry["topics"]:
-            raise MissingSplit(name, "topics", split, entry["topics"])
-        return entry["topics"][split]
+    def _split_path(self, kind: str, name: str, split: str) -> Path:
+        paths = self._entry(name)[kind]
+        if split not in paths:
+            raise MissingSplit(name, kind, split, paths)
+        return paths[split]
 
-    def answers_path(self, name: str, split: str) -> Path:
-        entry = self._entry(name)
-        if split not in entry["answers"]:
-            raise MissingSplit(name, "answers", split, entry["answers"])
-        return entry["answers"][split]
+    topics_path = partialmethod(_split_path, "topics")
+    answers_path = partialmethod(_split_path, "answers")
 
     def get_topics(self, name: str, split: str) -> Frame:
         return load_topics(self.topics_path(name, split), split)

@@ -241,14 +241,6 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
     return frame
 
 
-def _in_rank_order(frame: Frame) -> Sequence[dict]:
-    """The rows of a frame that passed `validate` as R, in (qid, rank)
-    order: as they are when the check found them so, sorted otherwise."""
-    if frame._checked == (SemType.R, True):
-        return frame.rows
-    return sorted(frame.rows, key=lambda r: (r["qid"], r["rank"]))
-
-
 def _check_ranks(frame: Frame) -> None:
     # per qid: ranks must be exactly {0..n-1} with score non-increasing in rank
     by_qid: dict[str, list[dict]] = {}
@@ -313,12 +305,20 @@ def assign_ranks(rows: Frame | Iterable[Mapping]) -> Frame:
     return Frame._owning(SemType.R, out)
 
 
-def rank_ordered(rows: Sequence[Mapping]) -> list:
-    """Rows sorted by (qid, rank) when they carry ranks; in their given order
-    otherwise (candidate sets from set union)."""
-    if any("rank" in r for r in rows):
-        return sorted(rows, key=lambda r: (r["qid"], r["rank"]))
-    return list(rows)
+def rank_ordered(frame: Frame) -> Sequence[dict]:
+    """The rows of an R frame in the order every reader of R rows takes them.
+
+    Ranked rows come in (qid, rank) order: as they are when `validate` found
+    them so, sorted otherwise. Rows that carry no rank (a candidate set from
+    set union) come in their given order. Cutoff, set union, context
+    building, the IRCoT fold and run files all read R rows through this
+    function, so a stage that emits its rows in any other order is read as
+    if it had sorted them.
+    """
+    rows = frame.rows
+    if frame._checked == (SemType.R, True) or not any("rank" in r for r in rows):
+        return rows
+    return sorted(rows, key=itemgetter("qid", "rank"))
 
 
 def concat(frames: Sequence[Frame], semtype: SemType) -> Frame:

@@ -15,8 +15,10 @@ import os
 import re
 import string
 import time
+from bisect import bisect_left
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import requests
@@ -339,17 +341,16 @@ class Concatenator(Transformer):
 
     def apply(self, frame: Frame) -> Frame:
         groups: dict[str, list[dict]] = {}
-        for row in frame.rows:
+        for row in rank_ordered(frame):
             groups.setdefault(row["qid"], []).append(row)
         out = []
         for qid in sorted(groups):
-            rows = rank_ordered(groups[qid])
-            if self.k_docs is not None:
-                rows = rows[: self.k_docs]
-            if "query" not in groups[qid][0]:
+            rows = groups[qid]
+            if "query" not in rows[0]:
                 raise MissingField("query", f"result rows for qid {qid!r}")
             out.append(
-                {"qid": qid, "query": groups[qid][0]["query"], "qcontext": self.render(rows)}
+                {"qid": qid, "query": rows[0]["query"],
+                 "qcontext": self.render(rows[: self.k_docs])}
             )
         return Frame(SemType.QC, out)
 
@@ -575,7 +576,7 @@ class IterativeRetriever(Transformer):
         while queries:
             found = run(self._retrieve, Frame(
                 SemType.Q, [{"qid": qid, "query": q} for qid, q in queries.items()]))
-            for r in rank_ordered(found.rows):
+            for r in rank_ordered(found):
                 docs[r["qid"]].setdefault(r["docno"], r)
             steps = _generate(self.backend, self.template, [
                 (questions[qid], self.concat.render(list(docs[qid].values())),
@@ -598,7 +599,10 @@ class IterativeRetriever(Transformer):
         pos = chain.lower().find(self.exit_phrase)
         if pos < 0:
             return chain
-        tail = chain[pos + len(self.exit_phrase):]
+        # chain.lower() runs ahead of chain wherever a character lowercases
+        # to several ("\u0130" to "i\u0307"), so map the phrase's end back
+        starts = list(accumulate((len(c.lower()) for c in chain), initial=0))
+        tail = chain[bisect_left(starts, pos + len(self.exit_phrase)):]
         return tail.strip().rstrip(string.punctuation + " \t\r\n").strip()
 
 

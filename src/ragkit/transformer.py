@@ -321,7 +321,7 @@ class SetUnion(_Merge):
         # differently calibrated score lists has no meaningful single score.
         rows: dict[tuple[str, str], dict] = {}
         for frame in (left, right):
-            for row in rank_ordered(frame.rows):
+            for row in rank_ordered(frame):
                 key = (row["qid"], row["docno"])
                 rows.setdefault(key, {"qid": row["qid"], "docno": row["docno"]})
         return Frame(SemType.R, self._with_queries(list(rows.values()), left, right))
@@ -329,8 +329,9 @@ class SetUnion(_Merge):
 
 @dataclass(eq=False, repr=False)
 class RankCutoff(_Composite):
-    """Keeps each query's results ranked below k. Its child runs as
-    child._cut(k) where that exists, so a retriever fetches only k rows."""
+    """Keeps each query's first k rows, read through `rank_ordered`. Its
+    child runs as child._cut(k) where that exists, so a retriever fetches
+    only k rows."""
 
     child: Transformer
     k: int
@@ -352,16 +353,13 @@ class RankCutoff(_Composite):
         return child
 
     def _combine(self, child: Frame) -> Frame:
-        if any("rank" in r for r in child.rows):
-            rows = [r for r in child.rows if r["rank"] < self.k]
-        else:
-            kept: dict[str, int] = {}
-            rows = []
-            for r in child.rows:
-                n = kept.get(r["qid"], 0)
-                if n < self.k:
-                    kept[r["qid"]] = n + 1
-                    rows.append(r)
+        kept: dict[str, int] = {}
+        rows = []
+        for r in rank_ordered(child):
+            n = kept.get(r["qid"], 0)
+            if n < self.k:
+                kept[r["qid"]] = n + 1
+                rows.append(r)
         return Frame(SemType.R, rows)
 
 
@@ -409,7 +407,7 @@ def set_union(a: Transformer, b: Transformer) -> SetUnion:
 
 
 def rank_cutoff(a: Transformer, k: int) -> RankCutoff:
-    """Keep only results ranked below k for each query."""
+    """Keep each query's first k results in rank order."""
     return _checked(RankCutoff(a, k))
 
 

@@ -84,6 +84,14 @@ class TestSearchCommand:
         assert captured.out == ""
         assert "k > 0" in captured.err
 
+    @pytest.mark.parametrize("tag", ["my run", ""])
+    def test_a_tag_run_files_cannot_hold_is_refused(self, index_dir, capsys, tag):
+        rc = main(["search", "--index", str(index_dir), "--query", "paris", "--tag", tag])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "run tag" in captured.err
+
     def test_format_1_index_asks_for_a_rebuild(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text('{"format_version": 1}')
         rc = main(["search", "--index", str(tmp_path), "--query", "x"])

@@ -150,6 +150,44 @@ class TestRunFiles:
         with pytest.raises(Exception):
             read_run(p)
 
+    @pytest.mark.parametrize("tag", ["", "my run", "a\tb", "t\n", " t", None, 5])
+    def test_a_tag_read_run_could_not_read_back_is_refused(self, tmp_path, tag):
+        with pytest.raises(ValueError, match="run tag"):
+            run_lines(self.FRAME, tag=tag)
+        path = tmp_path / "run.txt"
+        with pytest.raises(ValueError, match="run tag"):
+            write_run(self.FRAME, path, tag=tag)
+        assert not path.exists()
+        # refused before any line is built, so before the frame is checked
+        with pytest.raises(ValueError, match="run tag"):
+            run_lines(Frame(SemType.R, [{"qid": "q1"}]), tag=tag)
+
+
+@pytest.mark.parametrize("name, text, read, message", [
+    ("c.jsonl", '{"docno": "a", "text": "x"}\n\n  \nnot json\n', load_corpus,
+     "{p}:4: Expecting value: line 1 column 1 (char 0)"),
+    ("c.jsonl", '{"docno": "a", "text": "x"}\n[1, 2]\n', load_corpus,
+     "{p}:2: line is not a JSON object"),
+    ("c.jsonl", '\n{"docno": "a"}\n', load_corpus, "missing field 'text' ({p}:2)"),
+    ("t.jsonl", '\n{"qid": "a"}\n', lambda p: load_topics(p, "dev"),
+     "missing field 'query' ({p}:2 (dev))"),
+    ("r.run", "q1 Q0 d1 0 1.0 t\n\nq1 Q0 d2 1 0.5\n", read_run,
+     "{p}:3: expected 6 columns, got 5"),
+    ("r.run", "q1 Q0 d1 zero 1.0 t\n", read_run,
+     "{p}:1: invalid literal for int() with base 10: 'zero'"),
+    ("r.run", "\n\nq1 Q0 d1 0 high t\n", read_run,
+     "{p}:3: could not convert string to float: 'high'"),
+])
+def test_readers_name_file_and_line_in_their_errors(tmp_path, name, text, read, message):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises((ParseError, MissingField)) as err:
+        list(read(p))
+    assert str(err.value) == message.format(p=p)
+    with pytest.raises(ParseError) as err:
+        list(read(tmp_path / "missing"))
+    assert str(err.value) == f"{tmp_path / 'missing'}: file not found"
+
 
 def _reference_lines(rows, tag):
     ordered = sorted(rows, key=lambda r: (r["qid"], r["rank"]))

@@ -1,6 +1,6 @@
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ragkit.errors import (
     BackendError,
@@ -355,6 +355,29 @@ class TestIterativeRetrieval:
         out = run(ircot(ret, backend, fields=("query",), max_iterations=1),
                   Frame(SemType.Q, [{"qid": "q1", "query": "x"}]))
         assert out.rows[0]["qanswer"] == "no conclusion here"
+
+    @pytest.mark.parametrize("step, answer", [
+        ("İİİ so the answer is Turkey.", "Turkey"),
+        ("İİ SO THE ANSWER IS İzmir!", "İzmir"),
+        ("ΟΔΟΣ so the answer is Athens", "Athens"),
+    ])
+    def test_answer_is_cut_after_the_phrase_when_lowercasing_changes_lengths(
+            self, step, answer):
+        # "İ".lower() is two characters, so offsets in the lowered chain run
+        # ahead of the chain's own
+        ret = mock_retriever({"q1": [("d1", 1.0)]})
+        backend = StubBackend("scripted", default_answer=step)
+        out = run(ircot(ret, backend, fields=("query",)),
+                  Frame(SemType.Q, [{"qid": "q1", "query": "x"}]))
+        assert out.rows[0]["qanswer"] == answer
+
+    @settings(max_examples=200, deadline=None)
+    @given(prefix=st.text(st.one_of(st.just("İ"), st.characters()), max_size=20),
+           answer=st.text(st.characters(categories=("L", "N")), min_size=1, max_size=10))
+    def test_answer_follows_the_first_exit_phrase(self, prefix, answer):
+        step = f"{prefix} so the answer is {answer}."
+        assume(step.lower().find("so the answer is") == len(prefix.lower()) + 1)
+        assert ircot(mock_retriever({}), StubBackend())._answer(step) == answer
 
     def test_custom_exit_phrase(self):
         ret = mock_retriever({"q1": [("d1", 1.0)]})
