@@ -116,7 +116,7 @@ def cmd_index(args) -> int:
     stopwords: list[str] = []
     if args.stopwords:
         stopwords = [
-            w.strip() for w in Path(args.stopwords).read_text().splitlines()
+            w.strip() for w in Path(args.stopwords).read_text(encoding="utf-8").splitlines()
             if w.strip()
         ]
     fields = [f.strip() for f in args.store_fields.split(",") if f.strip()]

@@ -29,13 +29,14 @@ _T = TypeVar("_T")
 
 
 def _parsed_lines(path: str | Path, parse: Callable[[str], _T]) -> Iterator[tuple[int, _T]]:
-    """(line number, parse(line)) for each non-blank line of a UTF-8 file,
-    numbered from 1; a ValueError from parse fails as ParseError at
-    path:line, and a missing file as ParseError at path."""
+    """(line number, parse(line)) for each non-blank line of a UTF-8 file
+    (a leading byte-order mark skipped), numbered from 1; a ValueError from
+    parse fails as ParseError at path:line, and a missing file as
+    ParseError at path."""
     p = Path(path)
     if not p.exists():
         raise ParseError("file not found", source=str(p))
-    with p.open(encoding="utf-8") as fh:
+    with p.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -242,13 +242,13 @@ def _segments(
 ) -> list[list[tuple[tuple, Transformer, int]]]:
     """Cut each pipeline's `then` spine where fewer systems share its prefix.
 
-    Prefixes are compared by their components' structural keys. Each segment
+    Prefixes are compared as tuples of their components. Each segment
     comes as (key of the prefix it ends, the segment, how many pipelines
     have that prefix); a segment with several users can run once per batch
     and feed them all.
     """
     spines = [components(p) for p in pipelines]
-    keys = [tuple(c._key() for c in spine) for spine in spines]
+    keys = [tuple(spine) for spine in spines]
     users = Counter(key[:i] for key in keys for i in range(1, len(key) + 1))
     plans = []
     for spine, key in zip(spines, keys):
@@ -284,23 +284,19 @@ class ExperimentReport:
 
     def table(self) -> str:
         """Aligned plain-text table: one row per system, one column per
-        measure, p-value columns when a baseline was set."""
+        measure, p-value columns when a baseline was set ("n/a" where there
+        is no p-value, as with fewer than two topics)."""
         headers = ["system"] + list(self.measures)
-        p_cols = []
         if self.baseline is not None:
-            p_cols = [f"p({m})" for m in self.measures]
-            headers += p_cols
+            headers += [f"p({m})" for m in self.measures]
         rows = []
         for name in self.systems:
             row = [name]
             row += [f"{self.aggregates[name][m]:.4f}" for m in self.measures]
             if self.baseline is not None:
-                if name == self.baseline:
-                    row += ["baseline" for _ in self.measures]
-                else:
-                    row += [
-                        f"{self.significance[name][m]:.4f}" for m in self.measures
-                    ]
+                p = self.significance.get(name, {})
+                row += ["baseline" if name == self.baseline else
+                        f"{p[m]:.4f}" if m in p else "n/a" for m in self.measures]
             rows.append(row)
         widths = [
             max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
@@ -363,6 +359,8 @@ def experiment(
         raise ValueError("need at least one system")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate system names: {names}")
+    if "_shared_prefix" in names:
+        raise ValueError("system name '_shared_prefix' is reserved for timing")
     pipelines = [p for _, p in systems]
     for name, p in systems:
         sig = type_check(p)

@@ -199,8 +199,13 @@ class InvertedIndex:
             h.update(view)
         return h.hexdigest()
 
-    def _key(self) -> str:
-        return self.fingerprint()
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InvertedIndex):
+            return NotImplemented
+        return self.fingerprint() == other.fingerprint()
+
+    def __hash__(self) -> int:
+        return hash(self.fingerprint())
 
     def fingerprint(self) -> str:
         """Content hash; two indexes over identical corpora and configs get
@@ -417,7 +422,7 @@ def bm25_score(
     return score
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(unsafe_hash=True, repr=False)
 class BM25Retriever(Transformer):
     """Q -> R transformer scoring every document that contains at least one
     query term, keeping the top num_results by (score desc, docno asc)."""
@@ -502,7 +507,7 @@ class BM25Retriever(Transformer):
 bm25_retriever = BM25Retriever
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(unsafe_hash=True, repr=False)
 class TextAttacher(Transformer):
     """R -> R transformer adding stored fields to result rows by docno."""
 
@@ -529,7 +534,7 @@ class TextAttacher(Transformer):
 attach_text = TextAttacher
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(unsafe_hash=True, repr=False)
 class Indexer(Transformer):
     """D -> Terminal transformer; consumes a document frame and leaves the
     built index on `self.index`. The one transformer with write-on-apply

@@ -17,7 +17,7 @@ import string
 import time
 from bisect import bisect_left
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -32,7 +32,7 @@ from .errors import (
     check_positive,
 )
 from .frame import Frame, SemType, rank_ordered
-from .transformer import Signature, Transformer, _freeze, run, type_check
+from .transformer import Signature, Transformer, run, type_check
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_]+)\}")
 
@@ -109,27 +109,23 @@ class Backend:
     generate must return exactly one answer per prompt, order-aligned, and
     must tolerate concurrent calls from independent pipeline runs.
 
-    `descriptor` names the backend for display. Its identity, _key(), is the
-    descriptor, max_input_chars and every field a dataclass subclass
-    compares; settings that never change an answer (HttpBackend's timeout,
+    `descriptor` names the backend for display. A dataclass backend's
+    identity is its compared fields, so every setting that may change an
+    answer is a field; settings that never do (HttpBackend's timeout,
     retries, session, sleeper and concurrency) are declared
-    field(compare=False). Stages over backends with equal keys compare equal
-    and may be shared between the systems of one experiment.
+    field(compare=False). A backend that is not a dataclass equals only
+    itself. Stages over equal backends compare equal and may be shared
+    between the systems of one experiment.
     """
 
     descriptor: str = "backend"
     max_input_chars: int = 1_000_000
 
-    def _key(self) -> tuple:
-        compared = [f for f in fields(self) if f.compare] if is_dataclass(self) else []
-        return (self.descriptor, self.max_input_chars,
-                *(_freeze(getattr(self, f.name)) for f in compared))
-
     def generate(self, prompts: Sequence[str], system: str = "") -> list[str]:
         raise NotImplementedError
 
 
-@dataclass(eq=False)
+@dataclass(unsafe_hash=True)
 class StubBackend(Backend):
     """Deterministic offline backend for tests and dry runs.
 
@@ -178,7 +174,7 @@ class StubBackend(Backend):
         return self.default_answer
 
 
-@dataclass(eq=False)
+@dataclass(unsafe_hash=True)
 class HttpBackend(Backend):
     """OpenAI-compatible chat-completions client.
 
@@ -296,7 +292,7 @@ class HttpBackend(Backend):
 # -- context building ---------------------------------------------------------
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(unsafe_hash=True, repr=False)
 class Concatenator(Transformer):
     """R -> Qc: per query, renders the top documents into one context string.
 
@@ -371,7 +367,7 @@ class Concatenator(Transformer):
 concatenate_context = Concatenator
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(unsafe_hash=True, repr=False)
 class PromptRenderer(Transformer):
     """Qc -> Qc: adds (or overwrites) a `prompt` column; query and qcontext
     pass through untouched. The column is for inspection and for custom
@@ -433,7 +429,7 @@ def _generate(backend: Backend, template: PromptTemplate,
     return answers
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(unsafe_hash=True, repr=False)
 class _Answerer(Transformer):
     # Shared by Reader and ZeroShot: rows in qid order, one prompt each
     # (a zero-shot template has no {context}, so qcontext is never used)
@@ -517,7 +513,7 @@ class PhraseExit:
 phrase_exit = PhraseExit
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(unsafe_hash=True, repr=False)
 class IterativeRetriever(Transformer):
     """Q -> A: interleaved retrieval and generation, in rounds.
 

@@ -24,18 +24,19 @@ names only `then`, whose operands run one after the other. A cutoff hands
 them its child cut to k where the child can stop early (`_cut`): a
 retriever under `% k` fetches only k rows. The tree is never rewritten.
 
-Every node, composite or leaf, is a dataclass whose fields (its
-constructor parameters: operands, weights, k, stage arguments) are its
-identity, so structural equality (==) compares node names and fields all
-the way down. `then` is flattened: its spine compares as a sequence with
-identity stages dropped, so it is associative under == and identities are
-neutral. Two separately constructed but identical pipelines compare equal;
-this is the basis of shared-prefix detection in experiments.
+Every built-in node, composite or leaf, is a dataclass whose compared
+fields (its constructor parameters: operands, weights, k, stage arguments)
+are its identity, so structural equality (==) is the dataclass's own: same
+class, equal fields, all the way down. `then` is flattened: its spine
+compares as a sequence with identity stages dropped, so it is associative
+under == and identities are neutral. Two separately constructed but
+identical pipelines compare equal; this is the basis of shared-prefix
+detection in experiments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 from .errors import PipelineError, TypeMismatch, check_positive
@@ -94,10 +95,8 @@ def _check_family(signature: Signature) -> None:
 
 
 def _freeze(value):
-    """A hashable identity for a parameter value. A transformer, an index
-    or a backend is keyed by its own _key()."""
-    if hasattr(type(value), "_key"):
-        return value._key()
+    """A hashable copy of a parameter value: lists become tuples, dicts
+    sorted item tuples."""
     if isinstance(value, (list, tuple)):
         return tuple(_freeze(v) for v in value)
     if isinstance(value, dict):
@@ -108,20 +107,19 @@ def _freeze(value):
 class Transformer:
     """Base for pipeline nodes: a signature plus an apply function.
 
-    Every node, composite or leaf, is a dataclass whose class attributes
-    `signature` and `name` say what it is, and whose fields, its constructor
-    parameters, are its structural identity: two nodes with the same name
-    and equal fields are equal and hash alike, so they are interchangeable
-    for prefix sharing. A composite's signature is derived from its operands,
-    and `then` compares by its flattened spine, without identity stages.
-    A field holding a transformer, an index or a backend compares by that
-    value's own _key(): its structure, its content fingerprint, or its
-    descriptor and settings. Fields must therefore capture everything that
-    affects the output; checks, defaults and derived state belong in
-    __post_init__, so a default left out equals the same value given.
-    FnTransformer, which wraps a function, is keyed by its name and params
-    instead. Leaves override :meth:`apply`; state must be read-only after
-    construction so concurrent applies are safe.
+    Two nodes are equal, and interchangeable for prefix sharing, when they
+    are of the same class and their compared dataclass fields are equal;
+    every built-in node is a dataclass with generated == and hash, and only
+    `then` overrides them, to compare its flattened spine without identity
+    stages. The class attributes `signature` and `name` say what a node is
+    (a composite derives its signature from its operands); its fields, its
+    constructor parameters, must capture everything that affects its output,
+    and a field that never does is declared field(compare=False). Checks,
+    defaults and derived state belong in __post_init__, so a default left out
+    equals the same value given. A subclass that is not a dataclass equals
+    only itself, as ragkit cannot see its settings. Leaves override
+    :meth:`apply`; state must be read-only after construction so concurrent
+    applies are safe.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -155,51 +153,37 @@ class Transformer:
         a cutoff can stop its child early; None when there is none."""
         return None
 
-    # -- structural identity ---------------------------------------------
-
-    def _key(self) -> tuple:
-        return ("leaf", self.name, tuple(
-            (f.name, _freeze(getattr(self, f.name))) for f in fields(self)
-        ))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Transformer):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         return f"{self.name}[{self.signature}]"
 
 
+@dataclass(unsafe_hash=True, repr=False)
 class FnTransformer(Transformer):
     """Leaf transformer wrapping a plain function; handy for custom stages
-    and test mocks."""
+    and test mocks. Its identity is its signature, name and params, never
+    the function."""
 
-    def __init__(self, signature, name, fn: Callable[[Frame], Frame], params=()):
-        _check_family(signature)
-        self.signature = signature
-        self.name = name
-        self.params = tuple((k, _freeze(v)) for k, v in params)
-        self._fn = fn
+    signature: Signature
+    name: str
+    fn: Callable[[Frame], Frame] = field(compare=False)
+    params: tuple = ()
+
+    def __post_init__(self) -> None:
+        _check_family(self.signature)
+        self.params = tuple((k, _freeze(v)) for k, v in self.params)
 
     def apply(self, frame: Frame) -> Frame:
-        return self._fn(frame)
+        return self.fn(frame)
 
-    def _key(self) -> tuple:
-        return ("leaf", self.name, self.params)
+
+class _Identity(FnTransformer):
+    """The pass-through stage; a `then` spine drops it when comparing."""
 
 
 def identity(semtype: SemType) -> FnTransformer:
     """Pass-through transformer at the given type."""
-    return FnTransformer(
-        Signature(semtype, semtype),
-        "identity",
-        lambda f: f,
-        params=(("type", semtype.value),),
-    )
+    return _Identity(Signature(semtype, semtype), "identity", lambda f: f,
+                     params=(("type", semtype.value),))
 
 
 # -- composite nodes -------------------------------------------------------
@@ -219,10 +203,6 @@ class _Composite(Transformer):
     def signature(self) -> Signature:
         return type_check(self)
 
-    def _key(self) -> tuple:
-        # led by the node's name, so never equal to a ("leaf", ...) key
-        return (self.name, *(_freeze(getattr(self, f.name)) for f in fields(self)))
-
     def _operands(self) -> list[tuple[str, Transformer]]:
         return [(f.name, getattr(self, f.name)) for f in fields(self)
                 if isinstance(getattr(self, f.name), Transformer)]
@@ -235,17 +215,18 @@ class Then(_Composite):
 
     name = "then"
 
-    def _key(self) -> tuple:
-        # Flattening the spine makes `then` associative under ==, and
-        # dropping identity components makes them neutral: p >> identity(T)
-        # equals p.
-        parts = [c._key() for c in components(self)]
-        kept = [k for k in parts if not (k[0] == "leaf" and k[1] == "identity")]
-        if not kept:
-            kept = parts[:1]
-        if len(kept) == 1:
-            return kept[0]
-        return ("then", tuple(kept))
+    # Compared by its spine: flattening makes `then` associative under ==,
+    # dropping identity stages makes them neutral, and a one-stage spine
+    # hashes as that stage, so p >> identity(T) equals p and hashes alike.
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Transformer):
+            return NotImplemented
+        return _spine(self) == _spine(other)
+
+    def __hash__(self) -> int:
+        spine = _spine(self)
+        return hash(spine[0] if len(spine) == 1 else tuple(spine))
 
     def _typed(self, at: str, left: Signature, right: Signature) -> Signature:
         if left.output is TERMINAL or left.output is not right.input:
@@ -253,7 +234,7 @@ class Then(_Composite):
         return Signature(left.input, right.output)
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(unsafe_hash=True, repr=False)
 class _Merge(_Composite):
     """Two R branches over one input."""
 
@@ -286,7 +267,7 @@ class _Merge(_Composite):
         return rows
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(unsafe_hash=True, repr=False)
 class CombineSum(_Merge):
     weight_left: float = 1.0
     weight_right: float = 1.0
@@ -327,7 +308,7 @@ class SetUnion(_Merge):
         return Frame(SemType.R, self._with_queries(list(rows.values()), left, right))
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(unsafe_hash=True, repr=False)
 class RankCutoff(_Composite):
     """Keeps each query's first k rows, read through `rank_ordered`. Its
     child runs as child._cut(k) where that exists, so a retriever fetches
@@ -369,6 +350,12 @@ def components(p: Transformer) -> list[Transformer]:
     if isinstance(p, Then):
         return components(p.left) + components(p.right)
     return [p]
+
+
+def _spine(p: Transformer) -> list[Transformer]:
+    """p's components without identity stages (the first, if all are)."""
+    parts = components(p)
+    return [c for c in parts if not isinstance(c, _Identity)] or parts[:1]
 
 
 def chain(parts: Sequence[Transformer]) -> Transformer:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +41,21 @@ class TestIndexCommand:
         assert rc == 0
         manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
         assert manifest["stopwords"] == ["is", "of", "the"]
+
+    def test_stopword_file_is_read_as_utf8_under_any_locale(self, tmp_path):
+        stop = tmp_path / "stop.txt"
+        stop.write_text("für\nthe\n", encoding="utf-8")
+        src = str(Path(__file__).parent.parent / "src")
+        env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ragkit.cli", "index",
+             "--corpus", str(FIXTURES / "corpus.jsonl"), "--out", str(tmp_path / "idx"),
+             "--stopwords", str(stop)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["stopwords"] == ["für", "the"]
 
     def test_missing_corpus_file(self, tmp_path, capsys):
         rc = main(["index", "--corpus", str(tmp_path / "nope.jsonl"),
@@ -181,6 +199,22 @@ class TestExperimentCommand:
         assert report["correction"] == "holm"
         assert 0.0 <= report["significance"]["rag"]["F1"] <= 1.0
         assert "baseline" in capsys.readouterr().out
+
+    def test_baseline_over_one_topic_prints_na(self, index_dir, tmp_path, capsys):
+        for name in ("topics_dev.jsonl", "answers_dev.jsonl"):
+            first = (FIXTURES / name).read_text(encoding="utf-8").splitlines()[0]
+            (tmp_path / name).write_text(first + "\n", encoding="utf-8")
+        rc = main(["experiment", "--index", str(index_dir),
+                   "--system", "rag=bm25(k=1) >> concat(docs=1) >> reader(backend=stub:extract)",
+                   "--system", "echo=zeroshot(backend=stub:echo)",
+                   "--topics", str(tmp_path / "topics_dev.jsonl"),
+                   "--answers", str(tmp_path / "answers_dev.jsonl"),
+                   "--report", str(tmp_path / "report.json"), "--baseline", "echo"])
+        assert rc == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [row[0] for row in rows] == ["rag", "echo"]
+        assert rows[0][-2:] == ["n/a", "n/a"] and rows[1][-2:] == ["baseline", "baseline"]
+        assert json.loads((tmp_path / "report.json").read_text())["significance"] == {}
 
     def test_csv_output(self, index_dir, tmp_path, capsys):
         csv_path = tmp_path / "scores.csv"

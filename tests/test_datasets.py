@@ -242,6 +242,23 @@ def test_run_lines_of_a_retriever_frame_with_descending_qids():
     assert run_lines(out) == _reference_lines(out.rows, "run")
 
 
+@pytest.mark.parametrize("name, read", [
+    ("corpus.jsonl", lambda p: list(load_corpus(p))),
+    ("topics_dev.jsonl", load_topics),
+    ("answers_dev.jsonl", load_answers),
+    ("run", read_run),
+])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, name, read):
+    if name == "run":
+        text = "".join(line + "\n" for line in run_lines(TestRunFiles.FRAME))
+    else:
+        text = (FIXTURES / name).read_text(encoding="utf-8")
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read(marked) == read(plain)
+
+
 class TestRegistry:
     def test_load_and_resolve(self):
         reg = DatasetRegistry.load(FIXTURES / "registry.cfg")

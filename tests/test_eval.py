@@ -35,7 +35,7 @@ from ragkit.eval import (
 )
 from ragkit.frame import Frame, SemType, assign_ranks
 from ragkit.rag import HttpBackend, StubBackend, concatenate_context, reader, zero_shot
-from ragkit.transformer import FnTransformer, Signature, run
+from ragkit.transformer import FnTransformer, Signature, Transformer, run
 
 from conftest import counted, counting_retriever, mock_retriever, reranker
 
@@ -397,6 +397,60 @@ class TestExperiment:
         s1, s2 = make_system({"q1": "x"}, "s1"), make_system({"q1": "y"}, "s2")
         report = experiment([("s1", s1), ("s2", s2)], topics, gold, baseline="s1")
         assert report.significance == {}
+
+    def test_table_without_p_values_prints_na(self):
+        topics = Frame(SemType.Q, [{"qid": "q1", "query": "x"}])
+        gold = Frame(SemType.GA, [{"qid": "q1", "ganswer": ["x"]}])
+        s1, s2 = make_system({"q1": "x"}, "s1"), make_system({"q1": "y"}, "s2")
+        table = experiment([("s1", s1), ("s2", s2)], topics, gold, baseline="s1").table()
+        assert [line.split() for line in table.splitlines()[2:]] == [
+            ["s1", "1.0000", "1.0000", "baseline", "baseline"],
+            ["s2", "0.0000", "0.0000", "n/a", "n/a"],
+        ]
+
+    def test_the_shared_prefix_timing_slot_is_not_a_system_name(self):
+        s = make_system({}, "s")
+        with pytest.raises(ValueError, match="reserved"):
+            experiment([("a", s), ("_shared_prefix", s)], TOPICS, GOLD)
+
+    def test_a_stage_named_identity_is_still_a_stage(self):
+        a = mock_retriever({q["qid"]: [("d1", 2.0)] for q in TOPICS.rows}, name="a")
+        b = mock_retriever({q["qid"]: [("d2", 1.0)] for q in TOPICS.rows}, name="b")
+        drop = FnTransformer(Signature(SemType.R, SemType.R), "identity", lambda f: Frame(
+            SemType.R, [r for r in f.rows if r["docno"] != "d1"]))
+        tail = concatenate_context(fields=("docno",)) >> reader(
+            StubBackend("extractive_first_sentence"))
+        systems = [("dropped", (a >> drop) + b >> tail), ("plain", a + b >> tail)]
+        gold = Frame(SemType.GA, [{"qid": q["qid"], "ganswer": ["d1"]} for q in TOPICS.rows])
+        reports = [experiment(systems, TOPICS, gold, share_prefix=share).to_dict()
+                   for share in (True, False)]
+        for report in reports:
+            report.pop("timing")
+        assert reports[0] == reports[1]
+        assert reports[0]["aggregates"]["plain"]["EM"] == 1.0
+        assert reports[0]["aggregates"]["dropped"]["EM"] == 0.0
+        assert (a >> drop) + b != a + b
+
+    def test_a_plain_transformer_subclass_runs_in_an_experiment(self):
+        class Shout(Transformer):
+            """Not a dataclass: equal only to itself."""
+
+            signature = Signature(SemType.Q, SemType.A)
+            name = "shout"
+
+            def __init__(self, suffix):
+                self.suffix = suffix
+
+            def apply(self, frame):
+                return Frame(SemType.A, [{"qid": r["qid"], "qanswer": r["query"] + self.suffix}
+                                         for r in frame.rows])
+
+        counts = Counter()
+        loud = counted(Shout("!"), counts, "loud")
+        assert loud == loud and loud != Shout("!")
+        report = experiment([("a", loud), ("b", Shout("!")), ("c", loud)], TOPICS, GOLD)
+        assert counts["loud"] == 1  # a and c share the one instance
+        assert report.per_query["a"] == report.per_query["b"] == report.per_query["c"]
 
     def test_prefix_sharing_runs_shared_work_once(self):
         table = {q["qid"]: [("d1", 2.0), ("d2", 1.0)] for q in TOPICS.rows}

@@ -405,6 +405,24 @@ def test_code_built_trees_print_and_parse_back(tree):
     assert print_expr(again) == text
 
 
+@settings(max_examples=200, deadline=None)
+@given(tree=_CODE_BUILT, data=st.data())
+def test_equal_trees_hash_alike(tree, data):
+    sig = type_check(tree)
+    parts = components(tree)
+    cut = data.draw(st.integers(1, len(parts)))
+    twins = [
+        parse(print_expr(tree), _TREE_ENV),
+        tree >> identity(sig.output),
+        identity(sig.input) >> tree,
+        chain([*parts[:cut], identity(parts[cut - 1].signature.output), *parts[cut:]]),
+        Then(chain(parts[:cut]), chain(parts[cut:])) if cut < len(parts) else tree,
+    ]
+    for twin in twins:
+        assert twin == tree and tree == twin
+        assert hash(twin) == hash(tree)
+
+
 def _retriever(**kwargs):
     return BM25Retriever(_IDX, **{"num_results": 100, "include_fields": ("text",)} | kwargs)
 

@@ -2,7 +2,7 @@
 part of a node's identity, and equal arguments give equal nodes."""
 
 import inspect
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import pytest
 
@@ -16,6 +16,7 @@ from ragkit.index import (
     index_corpus,
 )
 from ragkit.rag import (
+    Backend,
     Concatenator,
     HttpBackend,
     IterativeRetriever,
@@ -158,6 +159,39 @@ def test_composite_keys_never_equal_leaf_keys(small_index):
         leaf = FnTransformer(Signature(SemType.Q, SemType.R), node.name,
                              lambda f: f, params=params)
         assert leaf != node
+
+
+def test_nodes_of_different_classes_are_unequal(small_index):
+    class Sub(BM25Retriever):
+        """Same name and fields as its base, but another class."""
+
+    @dataclass(unsafe_hash=True, repr=False)
+    class DataSub(BM25Retriever):
+        pass
+
+    base = BM25Retriever(small_index)
+    for cls in (Sub, DataSub):
+        assert cls(small_index) != base and base != cls(small_index)
+        assert cls(small_index) == cls(small_index)
+        assert hash(cls(small_index)) == hash(cls(small_index))
+
+    # a function stage's signature is part of its identity
+    def fn(sig):
+        return FnTransformer(sig, "same", lambda f: f, params=(("k", 1),))
+
+    assert fn(Signature(SemType.R, SemType.R)) != fn(Signature(SemType.QC, SemType.QC))
+    assert fn(Signature(SemType.R, SemType.R)) == fn(Signature(SemType.R, SemType.R))
+
+
+def test_a_backend_that_is_not_a_dataclass_equals_only_itself():
+    class Plain(Backend):
+        def generate(self, prompts, system=""):
+            return list(prompts)
+
+    backend = Plain()
+    assert Reader(backend) == Reader(backend)
+    assert hash(Reader(backend)) == hash(Reader(backend))
+    assert Reader(backend) != Reader(Plain())
 
 
 # Per dataclass backend: base arguments, then every field with a value that

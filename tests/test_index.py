@@ -263,14 +263,14 @@ def test_cutoff_over_a_retriever_equals_cutting_its_full_output(case):
     q = Frame(SemType.Q, [{"qid": f"q{i}", "query": t} for i, t in enumerate(queries)])
     r = BM25Retriever(idx, num_results=n, include_fields=include)
     p = r % k
-    key, text = p._key(), print_expr(p)
+    text = print_expr(p)
     full = run(r, q)
     out = run(p, q)
     assert out == RankCutoff(r, k)._combine(full)
     assert out == run(BM25Retriever(idx, num_results=min(k, n), include_fields=include), q)
     assert run(p % outer, q) == run(r % min(k, outer), q) \
         == RankCutoff(r, min(k, outer))._combine(full)
-    assert (p._key(), print_expr(p), r.num_results) == (key, text, n)
+    assert (p, hash(p), print_expr(p), r.num_results) == (r % k, hash(r % k), text, n)
 
 
 class _RecordingRetriever(BM25Retriever):
