@@ -13,6 +13,8 @@ from __future__ import annotations
 import configparser
 import json
 from functools import partialmethod
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -23,7 +25,7 @@ from .errors import (
     ParseError,
     UnknownDataset,
 )
-from .frame import Frame, SemType, rank_ordered, validate
+from .frame import Frame, SemType, _ranked_segments, rank_ordered, validate
 
 _T = TypeVar("_T")
 
@@ -119,15 +121,46 @@ def write_run(frame: Frame, path: str | Path, tag: str = "run") -> None:
 
 def run_lines(frame: Frame, tag: str = "run") -> list[str]:
     """An R frame as six-column run lines, rows ordered by (qid, rank),
-    scores fixed at six decimal places. The tag must be one non-empty word,
-    so that `read_run` can read the lines back."""
+    scores fixed at six decimal places. The tag, every qid and every docno
+    must be one non-empty word, so that `read_run` can read the lines back;
+    any other raises ValueError before a line is built."""
     if not isinstance(tag, str) or tag.split() != [tag]:
         raise ValueError(f"run tag must be a non-empty str without whitespace, got {tag!r}")
     validate(frame, SemType.R)
-    return [
-        f"{r['qid']} Q0 {r['docno']} {r['rank']} {r['score']:.6f} {tag}"
-        for r in rank_ordered(frame)
-    ]
+    segments = _ranked_segments(frame)
+    if segments is None:
+        rows = rank_ordered(frame)
+        _check_words("qid", list(map(itemgetter("qid"), rows)))
+        _check_words("docno", list(map(itemgetter("docno"), rows)))
+        return [
+            f"{r['qid']} Q0 {r['docno']} {r['rank']} {r['score']:.6f} {tag}"
+            for r in rows
+        ]
+    _check_words("qid", [s.qid for s in segments])
+    _check_words("docno", list(chain.from_iterable(s.docnos for s in segments)))
+    tag = tag.replace("%", "%%")
+    lines: list[str] = []
+    for seg in segments:
+        # one %-format per segment: its lines joined by newlines, which no
+        # checked qid, docno or tag contains
+        n = len(seg.docnos)
+        args: list = [None] * (3 * n)
+        args[0::3] = seg.docnos
+        args[1::3] = range(n)
+        args[2::3] = seg.scores.tolist()
+        line = seg.qid.replace("%", "%%") + " Q0 %s %d %.6f " + tag
+        lines += ("\n".join([line] * n) % tuple(args)).split("\n")
+    return lines
+
+
+def _check_words(column: str, values: list[str]) -> None:
+    """Refuse an empty value or one containing whitespace, which `read_run`
+    could not split back, with C-level passes over the whole column."""
+    joined = "".join(values)
+    if values and (not all(values) or joined.split() != [joined]):
+        bad = next(v for v in values if v.split() != [v])
+        raise ValueError(f"run file {column} must be a non-empty str without whitespace, "
+                         f"got {bad!r}")
 
 
 def _run_row(line: str) -> dict:

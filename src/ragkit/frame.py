@@ -13,13 +13,20 @@ one of seven relation types. Required columns and primary keys per tag:
 
 Extra columns are always permitted and survive operations that do not
 redefine them. qid and docno are opaque strings compared bytewise.
+
+A retriever's R frame starts as one ranked segment per query (columns, not
+dicts) and builds its row dicts when something first reads them; `validate`
+and `run_lines` read the segments directly.
 """
 
 from __future__ import annotations
 
 import enum
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DuplicateKey, KindMismatch, MissingColumn, RankViolation
 
@@ -86,6 +93,51 @@ def _kind_ok(value, kind: str) -> bool:
     raise ValueError(f"unknown column kind {kind!r}")
 
 
+class _Segment:
+    """One query's ranked results as columns: `docnos` (str), `scores`
+    (float64, non-increasing) and `fields`, a (name, values) pair per
+    included stored field, hold one entry per result, in rank order; the
+    rank is the position. The R rows it stands for are built by `rows`."""
+
+    __slots__ = ("qid", "query", "docnos", "scores", "fields")
+
+    def __init__(self, qid: str, query: str, docnos: list[str], scores: np.ndarray,
+                 fields: tuple[tuple[str, list], ...] = ()) -> None:
+        self.qid = qid
+        self.query = query
+        self.docnos = docnos
+        self.scores = scores
+        self.fields = fields
+
+    def rows(self) -> list[dict]:
+        qid, query = self.qid, self.query
+        rows = [
+            {"qid": qid, "docno": docno, "score": score, "rank": rank, "query": query}
+            for rank, (docno, score) in enumerate(zip(self.docnos, self.scores.tolist()))
+        ]
+        for name, values in self.fields:
+            for row, value in zip(rows, values):
+                row[name] = value
+        return rows
+
+
+class _Segmented:
+    """The rows of a frame that has not built them yet: one `_Segment` per
+    query. It stands in a frame's `_rows` until the first read replaces it."""
+
+    __slots__ = ("segments", "n")
+
+    def __init__(self, segments: tuple[_Segment, ...]) -> None:
+        self.segments = segments
+        self.n = sum(len(s.docnos) for s in segments)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def rows(self) -> tuple[dict, ...]:
+        return tuple(chain.from_iterable(s.rows() for s in self.segments))
+
+
 class Frame:
     """Immutable ordered collection of rows under a SemType tag.
 
@@ -99,13 +151,22 @@ class Frame:
     again for the same type costs no per-row work. Changing a row in place
     after construction is unsupported: a repeat check will not see the
     change.
+
+    A retriever's R frame holds one ranked segment per query instead of
+    rows: `len`, `validate` and `run_lines` read the segments, and the row
+    dicts are built, once, when something first reads `rows` (iteration,
+    `==`, `column` and every stage that reads rows). They equal the rows
+    the retriever would have built, key order included, and from then on
+    they are the frame's only form. Two threads that read a fresh frame's
+    rows at once may each build them; the frame keeps one of the two equal
+    tuples.
     """
 
     __slots__ = ("semtype", "_rows", "_checked")
 
     def __init__(self, semtype: SemType | None, rows: Iterable[Mapping]) -> None:
         self.semtype = semtype
-        self._rows: tuple[dict, ...] = tuple(dict(r) for r in rows)
+        self._rows: tuple[dict, ...] | _Segmented = tuple(dict(r) for r in rows)
         # (type, rows in (qid, rank) order) once validate has passed it
         self._checked: tuple[SemType, bool] | None = None
 
@@ -119,20 +180,31 @@ class Frame:
         frame._checked = None
         return frame
 
+    @classmethod
+    def _ranked(cls, segments: Iterable[_Segment]) -> Frame:
+        """An R frame over one ranked segment per query, in the given
+        order; its row dicts are built when first read."""
+        frame = cls._owning(SemType.R, ())
+        frame._rows = _Segmented(tuple(segments))
+        return frame
+
     @property
     def rows(self) -> tuple[dict, ...]:
-        return self._rows
+        rows = self._rows
+        if type(rows) is _Segmented:
+            rows = self._rows = rows.rows()
+        return rows
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def __iter__(self) -> Iterator[dict]:
-        return iter(self._rows)
+        return iter(self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Frame):
             return NotImplemented
-        return self.semtype == other.semtype and self._rows == other._rows
+        return self.semtype == other.semtype and self.rows == other.rows
 
     __hash__ = None  # unhashable: rows are dicts
 
@@ -141,7 +213,7 @@ class Frame:
         return f"Frame({tag}, {len(self._rows)} rows)"
 
     def column(self, name: str) -> list:
-        return [r[name] for r in self._rows]
+        return [r[name] for r in self.rows]
 
 
 def terminal_frame() -> Frame:
@@ -170,6 +242,15 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
     returns at once, after the tag check. Rows changed in place after
     construction are therefore not checked again; doing so is unsupported.
 
+    A retriever's frame that has not built its rows yet is checked per
+    ranked segment with a few whole-column operations instead: qid and
+    docnos of exact type `str`, float64 scores without NaN that never
+    increase, docnos unique within the segment and qids unique across the
+    non-empty segments. When those hold, the row pass would pass too, and
+    the frame remembers the same check it would; when any fails, or a
+    segment's included field replaces an R column, the rows are built and
+    go through the pass above, which raises what it always raised.
+
     `allow_unscored_r` admits R frames whose rows carry neither score nor
     rank (candidate sets produced by the set-union operator); pipeline
     execution validates with this enabled, direct calls default to strict.
@@ -183,6 +264,11 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
     checked = frame._checked
     if checked is not None and checked[0] is expected:
         return frame
+    if type(frame._rows) is _Segmented and len(frame):
+        ascending = _check_segments(frame._rows.segments)
+        if ascending is not None:
+            frame._checked = (expected, ascending)
+            return frame
 
     rows = frame.rows
     checks = _CHECKS[expected]
@@ -239,6 +325,35 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
     if not lenient:
         frame._checked = (expected, grouped and ascending)
     return frame
+
+
+# the R columns of a segment's rows that an included field must not replace
+_SEGMENT_COLUMNS = frozenset(("qid", "docno", "score", "rank"))
+_STR_ONLY = {str}
+
+
+def _check_segments(segments: Sequence[_Segment]) -> bool | None:
+    """Whether the qids of the non-empty `segments` ascend, when the strict
+    R check of their rows would pass; None when these whole-column checks
+    cannot vouch for that and the rows must be checked one by one."""
+    qids = []
+    for seg in segments:
+        docnos, scores = seg.docnos, seg.scores
+        if not docnos:
+            continue  # no rows, so its qid is in none
+        if (type(seg.qid) is not str
+                or set(map(type, docnos)) != _STR_ONLY
+                or len(set(docnos)) != len(docnos)
+                or scores.dtype != np.float64
+                # a NaN fails every comparison: one at rank 0 trips the first
+                # test, one further down the second
+                or scores[0] != scores[0] or not (scores[1:] <= scores[:-1]).all()
+                or any(name in _SEGMENT_COLUMNS for name, _ in seg.fields)):
+            return None
+        qids.append(seg.qid)
+    if len(set(qids)) != len(qids):
+        return None
+    return all(a < b for a, b in zip(qids, qids[1:]))
 
 
 def _check_ranks(frame: Frame) -> None:
@@ -319,6 +434,18 @@ def rank_ordered(frame: Frame) -> Sequence[dict]:
     if frame._checked == (SemType.R, True) or not any("rank" in r for r in rows):
         return rows
     return sorted(rows, key=itemgetter("qid", "rank"))
+
+
+def _ranked_segments(frame: Frame) -> list[_Segment] | None:
+    """The non-empty segments of a strictly checked frame that has not
+    built its rows, in the order `rank_ordered` would give their rows
+    (each segment is one qid's rows in rank order); None once the frame
+    holds rows."""
+    rows = frame._rows
+    if type(rows) is not _Segmented:
+        return None
+    segments = [s for s in rows.segments if s.docnos]
+    return segments if frame._checked[1] else sorted(segments, key=lambda s: s.qid)
 
 
 def concat(frames: Sequence[Frame], semtype: SemType) -> Frame:

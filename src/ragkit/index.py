@@ -49,7 +49,7 @@ from .errors import (
     UnknownDocno,
     check_positive,
 )
-from .frame import Frame, SemType, terminal_frame
+from .frame import Frame, SemType, _Segment, terminal_frame
 from .transformer import Signature, TERMINAL, Transformer
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -454,10 +454,10 @@ class BM25Retriever(Transformer):
         cut.num_results = k
         return cut
 
-    def _top(self, acc: np.ndarray) -> tuple[list[int], list[float]]:
-        """Doc ids and scores of the top num_results by (score desc, docno
-        asc). Every contribution is positive, so the nonzero entries of `acc`
-        are exactly the docs that contain a query term."""
+    def _top(self, acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Doc ids and float64 scores of the top num_results by (score desc,
+        docno asc). Every contribution is positive, so the nonzero entries
+        of `acc` are exactly the docs that contain a query term."""
         k = self.num_results
         cand = np.flatnonzero(acc)
         scores = acc[cand]
@@ -466,15 +466,15 @@ class BM25Retriever(Transformer):
             keep = scores >= kth  # every doc tied with the k-th score survives
             cand, scores = cand[keep], scores[keep]
         order = np.lexsort((self.index._docno_rank[cand], -scores))[:k]
-        return cand[order].tolist(), scores[order].tolist()
+        return cand[order], scores[order]
 
     def apply(self, frame: Frame) -> Frame:
         idx = self.index
         n = idx.n_docs
         k1 = self.bm25.k1
         norm = self._norm
-        docnos = idx._docnos
-        out_rows: list[dict] = []
+        docno = idx._docnos.__getitem__
+        segments: list[_Segment] = []
         for row in frame.rows:
             acc = np.zeros(n)
             # term-at-a-time accumulation; per document the additions happen
@@ -489,19 +489,15 @@ class BM25Retriever(Transformer):
                 idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
                 acc[doc_ids] += idf * (tfs * (k1 + 1.0)) / (tfs + norm[doc_ids])
             doc_ids, scores = self._top(acc)
-            qid, query = row["qid"], row["query"]
-            rows = [
-                {"qid": qid, "docno": docnos[doc_id], "score": score, "rank": rank, "query": query}
-                for rank, (doc_id, score) in enumerate(zip(doc_ids, scores))
-            ]
+            ids = doc_ids.tolist()
+            fields = ()
             if self.include_fields:
-                for out, doc_id in zip(rows, doc_ids):
-                    stored = idx.stored(doc_id)
-                    for f in self.include_fields:
-                        out[f] = stored.get(f, "")
-            out_rows += rows
-        # fresh dicts that nothing else holds: the frame takes them uncopied
-        return Frame._owning(SemType.R, out_rows)
+                stored = list(map(idx.stored, ids))
+                fields = tuple((f, [s.get(f, "") for s in stored]) for f in self.include_fields)
+            segments.append(
+                _Segment(row["qid"], row["query"], list(map(docno, ids)), scores, fields))
+        # the rows are built only if something reads them
+        return Frame._ranked(segments)
 
 
 bm25_retriever = BM25Retriever
@@ -528,7 +524,8 @@ class TextAttacher(Transformer):
             for f in self.fields:
                 merged[f] = stored.get(f, "")
             rows.append(merged)
-        return Frame(SemType.R, rows)
+        # fresh dicts that nothing else holds: the frame takes them uncopied
+        return Frame._owning(SemType.R, rows)
 
 
 attach_text = TextAttacher

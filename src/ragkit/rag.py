@@ -135,11 +135,16 @@ class StubBackend(Backend):
         first "Context:" marker.
       scripted: first (substring, answer) rule whose substring occurs in the
         prompt wins; default_answer otherwise.
+
+    `max_input_chars` is the prompt budget that the stages fit their
+    prompts to, as for any backend; it is a compared field, so stubs with
+    different budgets are different stages.
     """
 
     mode: str = "echo_query"
     script: Sequence[tuple[str, str]] = ()
     default_answer: str = ""
+    max_input_chars: int = 1_000_000
 
     MODES = ("echo_query", "extractive_first_sentence", "scripted")
 

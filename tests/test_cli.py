@@ -84,6 +84,15 @@ class TestSearchCommand:
         assert len(lines) == 50
         assert lines[0].startswith("nq000 Q0 ")
 
+    def test_a_qid_run_files_cannot_hold_is_refused(self, index_dir, tmp_path, capsys):
+        topics = tmp_path / "topics.jsonl"
+        topics.write_text('{"qid": "q 1", "query": "paris"}\n', encoding="utf-8")
+        rc = main(["search", "--index", str(index_dir), "--topics", str(topics)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'q 1'" in captured.err
+
     def test_bm25_parameters_accepted(self, index_dir, capsys):
         rc = main(["search", "--index", str(index_dir), "--query", "paris",
                    "--k1", "0.5", "--b", "0.2", "-k", "1"])

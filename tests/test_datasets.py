@@ -162,6 +162,17 @@ class TestRunFiles:
         with pytest.raises(ValueError, match="run tag"):
             run_lines(Frame(SemType.R, [{"qid": "q1"}]), tag=tag)
 
+    @pytest.mark.parametrize("qid, docno", [("q 1", "d1"), ("q1", "d 1"), ("q1", ""),
+                                            ("\tq1", "d1"), ("q1", "d1\x1c")])
+    def test_a_qid_or_docno_read_run_could_not_read_back_is_refused(self, tmp_path,
+                                                                     qid, docno):
+        frame = assign_ranks([{"qid": "q0", "docno": "d0", "score": 2.0},
+                              {"qid": qid, "docno": docno, "score": 1.0}])
+        path = tmp_path / "run.txt"
+        with pytest.raises(ValueError, match="run file (qid|docno) must be"):
+            write_run(frame, path)
+        assert not path.exists()
+
 
 @pytest.mark.parametrize("name, text, read, message", [
     ("c.jsonl", '{"docno": "a", "text": "x"}\n\n  \nnot json\n', load_corpus,

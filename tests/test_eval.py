@@ -504,6 +504,25 @@ class TestExperiment:
                        for name, _ in systems[1:])
         assert reports[0] == reports[1]
 
+    def test_stubs_with_different_budgets_are_never_shared(self):
+        def rag(**settings):
+            return (mock_retriever({q["qid"]: [("d1", 1.0)] for q in TOPICS.rows})
+                    >> concatenate_context(fields=("query",))
+                    >> reader(StubBackend("extractive_first_sentence", **settings)))
+
+        assert zero_shot(StubBackend(max_input_chars=10)) != zero_shot(StubBackend())
+        gold = Frame(SemType.GA, [{"qid": r["qid"], "ganswer": [r["query"]]}
+                                  for r in TOPICS.rows])
+        # 60 chars fit each question but cut its context's tail
+        systems = [("wide", rag()), ("narrow", rag(max_input_chars=60))]
+        reports = [experiment(systems, TOPICS, gold, share_prefix=share).to_dict()
+                   for share in (True, False)]
+        for report in reports:
+            report.pop("timing")
+            assert report["aggregates"]["wide"]["EM"] == 1.0
+            assert report["aggregates"]["narrow"]["EM"] == 0.0
+        assert reports[0] == reports[1]
+
     def test_batching_matches_single_pass(self):
         ret = mock_retriever({q["qid"]: [("d1", 1.0)] for q in TOPICS.rows})
         sys_a = make_system({"q1": "paris", "q2": "tokyo", "q3": "rome"}, "a")

@@ -312,3 +312,115 @@ def test_a_lenient_pass_is_not_remembered():
     assert validate(union, SemType.R, allow_unscored_r=True) is union
     with pytest.raises(MissingColumn, match="'score'"):
         validate(union, SemType.R)
+
+
+# -- a retriever's ranked segments check, count and print as their rows do ------
+
+
+class _Text(str):
+    """A str subclass: text to the row pass, not an exact `str` column."""
+
+
+SEGMENT_CORRUPTIONS = (
+    "nan score", "rising score", "repeated docno", "repeated qid", "non-str docno",
+    "non-str qid", "str subclass docno", "int scores", "None score",
+    "field replaces docno", "field replaces score", "whitespace docno", "empty docno",
+    "whitespace qid",
+)
+
+
+@st.composite
+def _segment_payloads(draw):
+    """Per query: (qid, query, docnos, scores, fields), as the retriever
+    builds them, with empty segments and drawn corruptions; and the names
+    of the corruptions drawn."""
+    payload = []
+    for qid in draw(st.lists(st.sampled_from(["q1", "q2", "q%d", "é"]), max_size=4,
+                             unique=True)):
+        n = draw(st.integers(0, 4))
+        docnos = draw(st.lists(st.sampled_from(["d1", "d2", "d3", "d4", "d5"]),
+                               min_size=n, max_size=n, unique=True))
+        scores = sorted(draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)),
+                        reverse=True)
+        fields = [("text", [f"t{i}" for i in range(n)])] if draw(st.booleans()) else []
+        payload.append([qid, "a query", docnos, np.array(scores, dtype=np.float64), fields])
+    names = draw(st.lists(st.sampled_from(SEGMENT_CORRUPTIONS), max_size=2))
+    for name in names:
+        full = [seg for seg in payload if seg[2]]
+        if not full:
+            break
+        seg = draw(st.sampled_from(full))
+        i = draw(st.integers(0, len(seg[2]) - 1))
+        if name == "nan score":
+            seg[3] = seg[3].astype(np.float64)
+            seg[3][i] = float("nan")
+        elif name == "rising score" and i:
+            seg[3][i] = seg[3][i - 1] + 1.0 if seg[3][i - 1] < 1e300 else float("inf")
+        elif name == "repeated docno" and i:
+            seg[2][i] = seg[2][0]
+        elif name == "repeated qid":
+            payload.append([seg[0], "again", ["d9"], np.array([1.0]), []])
+        elif name == "non-str docno":
+            seg[2][i] = 7
+        elif name == "non-str qid":
+            seg[0] = 7
+        elif name == "str subclass docno":
+            seg[2][i] = _Text(seg[2][i])
+        elif name == "int scores":
+            seg[3] = np.arange(len(seg[2]))[::-1].copy()
+        elif name == "None score":
+            seg[3] = seg[3].astype(object)
+            seg[3][i] = None
+        elif name.startswith("field replaces"):
+            column = name.split()[-1]
+            seg[4].append((column, ["x"] * len(seg[2])))
+        elif name == "whitespace docno":
+            seg[2][i] = "d 1"
+        elif name == "empty docno":
+            seg[2][i] = ""
+        elif name == "whitespace qid":
+            seg[0] = "q 1"
+    return payload, names
+
+
+def _segmented(payload) -> Frame:
+    """A fresh frame over fresh segments of `payload`."""
+    return Frame._ranked(
+        ragkit.frame._Segment(qid, query, list(docnos), scores.copy(),
+                              tuple((name, list(values)) for name, values in fields))
+        for qid, query, docnos, scores, fields in payload)
+
+
+def _lines_or_error(frame):
+    try:
+        return run_lines(frame, tag="r%s")
+    except (MissingColumn, KindMismatch, DuplicateKey, RankViolation, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_segment_payloads(), st.booleans())
+def test_segments_check_count_and_print_as_their_rows(drawn, allow):
+    payload, corruptions = drawn
+    rows = Frame(SemType.R, _segmented(payload).rows)
+    segmented = _segmented(payload)
+    assert len(segmented) == len(rows)
+    assert type(segmented._rows) is ragkit.frame._Segmented  # len built no rows
+    outcome = _outcome(validate, segmented, SemType.R, allow)
+    assert outcome == _outcome(validate, rows, SemType.R, allow)
+    assert outcome == _outcome(oracle_validate, Frame(SemType.R, rows.rows), SemType.R, allow)
+    assert segmented._checked == rows._checked
+    if not corruptions and len(rows):
+        assert outcome is None and type(segmented._rows) is ragkit.frame._Segmented
+    assert _lines_or_error(_segmented(payload)) == _lines_or_error(Frame(SemType.R, rows.rows))
+    # a NaN equals only itself, and each build makes its own NaN objects
+    for frame in (_segmented(payload), segmented):
+        assert (frame == rows) == (Frame(SemType.R, _segmented(payload).rows) == rows)
+        assert (frame == rows) or "nan score" in corruptions
+
+
+def test_an_empty_segmented_frame_is_not_remembered_as_a_candidate_set():
+    payload = [["q1", "a query", [], np.array([], dtype=np.float64), []]]
+    lenient = validate(_segmented(payload), SemType.R, allow_unscored_r=True)
+    assert lenient._checked is None and lenient.rows == ()
+    assert validate(_segmented(payload), SemType.R)._checked == (SemType.R, True)

@@ -201,6 +201,7 @@ BACKEND_FIELDS = {
         "mode": "echo_query",
         "script": [("a", "b")],
         "default_answer": "x",
+        "max_input_chars": 10,
     }, {}),
     HttpBackend: ({"model": "m", "base_url": "http://a", "session": object()}, {
         "model": "other",

@@ -1,10 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ragkit.frame
+from ragkit.datasets import run_lines
 from ragkit.errors import (
     DuplicateDocno,
     InvalidK,
@@ -200,6 +203,80 @@ class TestRetriever:
             bm25_retriever(small_index, num_results=bad)
 
 
+def _reference_apply(retriever, frame):
+    """The rows of BM25Retriever.apply as it built them before it emitted
+    ranked segments: one dict per result, built as soon as it is ranked."""
+    idx = retriever.index
+    n = idx.n_docs
+    k1 = retriever.bm25.k1
+    norm = retriever._norm
+    docnos = idx._docnos
+    out_rows = []
+    for row in frame.rows:
+        acc = np.zeros(n)
+        for term in idx.tokenizer.tokenize(row["query"]):
+            doc_ids, tfs = idx.postings(term)
+            if len(doc_ids) == 0:
+                continue
+            df = len(doc_ids)
+            idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+            acc[doc_ids] += idf * (tfs * (k1 + 1.0)) / (tfs + norm[doc_ids])
+        doc_ids, scores = (a.tolist() for a in retriever._top(acc))
+        qid, query = row["qid"], row["query"]
+        rows = [
+            {"qid": qid, "docno": docnos[doc_id], "score": score, "rank": rank, "query": query}
+            for rank, (doc_id, score) in enumerate(zip(doc_ids, scores))
+        ]
+        if retriever.include_fields:
+            for out, doc_id in zip(rows, doc_ids):
+                stored = idx.stored(doc_id)
+                for f in retriever.include_fields:
+                    out[f] = stored.get(f, "")
+        out_rows += rows
+    return out_rows
+
+
+class TestRankedSegments:
+    @pytest.mark.parametrize("fields", [(), ("text",), ("title", "text"), ("query",),
+                                        ("text", "rank")])
+    def test_rows_equal_the_row_building_reference(self, small_index, fields):
+        topics = Frame(SemType.Q, [{"qid": "q2", "query": "the capital of paris"},
+                                   {"qid": "q1", "query": "rome rome tower"},
+                                   {"qid": "q3", "query": "nothing matches"}])
+        retriever = BM25Retriever(small_index, num_results=3, include_fields=fields)
+        want = _reference_apply(retriever, topics)
+        got = retriever.apply(topics).rows
+        assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
+
+    def test_search_and_run_lines_build_no_row_dict(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        words = np.array(["ant", "bee", "cat", "dog", "eel"])
+        idx = index_corpus([{"docno": f"d{i:04d}", "text": " ".join(rng.choice(words, 6))}
+                            for i in range(1500)])
+
+        def refuse(segment):
+            raise AssertionError("a row dict was built")
+
+        monkeypatch.setattr(ragkit.frame._Segment, "rows", refuse)
+        q = Frame(SemType.Q, [{"qid": "q2", "query": "ant bee"}, {"qid": "q1", "query": "cat"}])
+        out = run(BM25Retriever(idx, num_results=1000), q)
+        lines = run_lines(out)
+        assert len(out) == len(lines) == 2000
+        assert lines[0].startswith("q1 Q0 ") and lines[-1].startswith("q2 Q0 ")
+        monkeypatch.undo()
+        assert lines == run_lines(Frame(SemType.R, out.rows))
+
+    @pytest.mark.parametrize("qid, docno", [("q 1", "d1"), ("q1", "d 1"), ("q1", ""),
+                                            ("q1", "d\u20281")])
+    def test_run_lines_refuse_what_read_run_could_not_split_back(self, qid, docno):
+        idx = index_corpus([{"docno": docno, "text": "paris"}])
+        out = run(BM25Retriever(idx), Frame(SemType.Q, [{"qid": qid, "query": "paris"}]))
+        bad = qid if qid != "q1" else docno
+        for frame in (out, Frame(SemType.R, out.rows)):
+            with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+                run_lines(frame)
+
+
 @st.composite
 def _retrieval_cases(draw):
     vocab = [f"w{i}" for i in range(draw(st.integers(1, 5)))]
@@ -358,8 +435,7 @@ class TestCutoffPushdown:
             assert reports[0] == reports[1]
             answers = []
             for budget in (1_000_000, 150):
-                backend = StubBackend()
-                backend.max_input_chars = budget
+                backend = StubBackend(max_input_chars=budget)
                 answers.append(run(ircot(r, backend, docs_per_iteration=4), topics))
             return reports[0], answers
 
