@@ -14,7 +14,6 @@ import configparser
 import json
 from functools import partialmethod
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -25,7 +24,7 @@ from .errors import (
     ParseError,
     UnknownDataset,
 )
-from .frame import Frame, SemType, _ranked_segments, rank_ordered, validate
+from .frame import Frame, SemType, _ranked_columns, validate
 
 _T = TypeVar("_T")
 
@@ -127,28 +126,20 @@ def run_lines(frame: Frame, tag: str = "run") -> list[str]:
     if not isinstance(tag, str) or tag.split() != [tag]:
         raise ValueError(f"run tag must be a non-empty str without whitespace, got {tag!r}")
     validate(frame, SemType.R)
-    segments = _ranked_segments(frame)
-    if segments is None:
-        rows = rank_ordered(frame)
-        _check_words("qid", list(map(itemgetter("qid"), rows)))
-        _check_words("docno", list(map(itemgetter("docno"), rows)))
-        return [
-            f"{r['qid']} Q0 {r['docno']} {r['rank']} {r['score']:.6f} {tag}"
-            for r in rows
-        ]
-    _check_words("qid", [s.qid for s in segments])
-    _check_words("docno", list(chain.from_iterable(s.docnos for s in segments)))
+    columns = _ranked_columns(frame)
+    _check_words("qid", [qid for qid, _, _ in columns])
+    _check_words("docno", list(chain.from_iterable(docnos for _, docnos, _ in columns)))
     tag = tag.replace("%", "%%")
     lines: list[str] = []
-    for seg in segments:
-        # one %-format per segment: its lines joined by newlines, which no
+    for qid, docnos, scores in columns:
+        # one %-format per qid: its lines joined by newlines, which no
         # checked qid, docno or tag contains
-        n = len(seg.docnos)
+        n = len(docnos)
         args: list = [None] * (3 * n)
-        args[0::3] = seg.docnos
+        args[0::3] = docnos
         args[1::3] = range(n)
-        args[2::3] = seg.scores.tolist()
-        line = seg.qid.replace("%", "%%") + " Q0 %s %d %.6f " + tag
+        args[2::3] = scores
+        line = qid.replace("%", "%%") + " Q0 %s %d %.6f " + tag
         lines += ("\n".join([line] * n) % tuple(args)).split("\n")
     return lines
 

@@ -32,6 +32,7 @@ from .errors import (
     MissingGold,
     TooFewSamples,
     TypeMismatch,
+    check_positive,
 )
 from .frame import Frame, SemType, validate
 from .transformer import (
@@ -324,8 +325,6 @@ class ExperimentReport:
 def _chunks(rows: Sequence[dict], size: int | None) -> list[list[dict]]:
     if size is None:
         return [list(rows)]
-    if size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {size}")
     return [list(rows[i:i + size]) for i in range(0, len(rows), size)]
 
 
@@ -361,6 +360,8 @@ def experiment(
         raise ValueError(f"duplicate system names: {names}")
     if "_shared_prefix" in names:
         raise ValueError("system name '_shared_prefix' is reserved for timing")
+    if batch_size is not None:
+        check_positive(batch_size, "batch_size")
     pipelines = [p for _, p in systems]
     for name, p in systems:
         sig = type_check(p)

@@ -16,14 +16,16 @@ redefine them. qid and docno are opaque strings compared bytewise.
 
 A retriever's R frame starts as one ranked segment per query (columns, not
 dicts) and builds its row dicts when something first reads them; `validate`
-and `run_lines` read the segments directly.
+and `run_lines` read the segments directly. `validate` only checks a frame
+and remembers which type passed; readers that need R rows in (qid, rank)
+order get them from `rank_ordered`.
 """
 
 from __future__ import annotations
 
 import enum
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, groupby
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -147,10 +149,10 @@ class Frame:
     leaf's output once; frames built by the combinators from those are not
     re-checked.
 
-    A frame remembers the strict check it has passed, so validating it
-    again for the same type costs no per-row work. Changing a row in place
-    after construction is unsupported: a repeat check will not see the
-    change.
+    A frame remembers the type whose strict check it has passed, so
+    validating it again for that type costs no per-row work. Changing a row
+    in place after construction is unsupported: a repeat check will not see
+    the change.
 
     A retriever's R frame holds one ranked segment per query instead of
     rows: `len`, `validate` and `run_lines` read the segments, and the row
@@ -167,8 +169,8 @@ class Frame:
     def __init__(self, semtype: SemType | None, rows: Iterable[Mapping]) -> None:
         self.semtype = semtype
         self._rows: tuple[dict, ...] | _Segmented = tuple(dict(r) for r in rows)
-        # (type, rows in (qid, rank) order) once validate has passed it
-        self._checked: tuple[SemType, bool] | None = None
+        # the type whose strict check the frame has passed
+        self._checked: SemType | None = None
 
     @classmethod
     def _owning(cls, semtype: SemType | None, rows: Iterable[dict]) -> Frame:
@@ -232,24 +234,20 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
     `_CHECKS` entry: a value of an exact type (`str` for text, `float` or
     `int` for real, `int` for int) passes at once, anything else goes through
     `_kind_ok`, which still refuses None and bool. An R row's rank must be
-    non-negative and its score not NaN. The same pass follows the R rank
-    invariant while rows arrive grouped by qid with ranks 0, 1, 2, ... and
-    scores non-increasing, as the retriever and `assign_ranks` emit them;
-    any other layout is checked by sorting in `_check_ranks`.
+    non-negative and its score not NaN. The R rank invariant is then checked
+    per qid by `_check_ranks`, whatever order the rows come in.
 
-    A frame remembers a strict pass, and with it whether its rows are
-    already in (qid, rank) order: validating it again for the same type
-    returns at once, after the tag check. Rows changed in place after
-    construction are therefore not checked again; doing so is unsupported.
+    A frame remembers the type whose strict check it passed: validating it
+    again for that type returns at once, after the tag check. Rows changed
+    in place after construction are therefore not checked again; doing so
+    is unsupported. Nothing else is recorded: `rank_ordered` puts R rows in
+    order when they are read.
 
-    A retriever's frame that has not built its rows yet is checked per
-    ranked segment with a few whole-column operations instead: qid and
-    docnos of exact type `str`, float64 scores without NaN that never
-    increase, docnos unique within the segment and qids unique across the
-    non-empty segments. When those hold, the row pass would pass too, and
-    the frame remembers the same check it would; when any fails, or a
-    segment's included field replaces an R column, the rows are built and
-    go through the pass above, which raises what it always raised.
+    A retriever's frame that has not built its rows yet is checked by
+    `_check_segments` with a few whole-column operations per ranked segment
+    instead. When those vouch for it, the row pass would pass too; when
+    they cannot, the rows are built and go through the pass above, which
+    raises what it always raised.
 
     `allow_unscored_r` admits R frames whose rows carry neither score nor
     rank (candidate sets produced by the set-union operator); pipeline
@@ -261,14 +259,11 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
         raise KindMismatch(
             f"frame tagged {frame.semtype} where {expected} expected"
         )
-    checked = frame._checked
-    if checked is not None and checked[0] is expected:
+    if frame._checked is expected:
         return frame
-    if type(frame._rows) is _Segmented and len(frame):
-        ascending = _check_segments(frame._rows.segments)
-        if ascending is not None:
-            frame._checked = (expected, ascending)
-            return frame
+    if type(frame._rows) is _Segmented and len(frame) and _check_segments(frame._rows.segments):
+        frame._checked = expected
+        return frame
 
     rows = frame.rows
     checks = _CHECKS[expected]
@@ -277,11 +272,6 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
     if lenient:
         checks, ranked = _UNSCORED_R, False
 
-    grouped = ranked  # rows so far are qid groups ranked 0, 1, 2, ... in order
-    ascending = True  # and those groups come in ascending qid order
-    seen_qids: set[str] = set()
-    qid = prev_score = None
-    next_rank = 0
     for row in rows:
         for col, kind, exact in checks:
             try:
@@ -299,18 +289,6 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
                 raise KindMismatch(f"rank must be >= 0, got {rank!r}")
             if score != score:
                 raise KindMismatch(f"score must be numeric, got {score!r}")
-            if grouped:
-                if row["qid"] != qid:
-                    ascending = ascending and (qid is None or row["qid"] > qid)
-                    qid = row["qid"]
-                    grouped = rank == 0 and qid not in seen_qids
-                    seen_qids.add(qid)
-                    next_rank = 1
-                elif rank != next_rank or score > prev_score:
-                    grouped = False
-                else:
-                    next_rank += 1
-                prev_score = score
 
     keys = list(map(itemgetter(*KEY_COLUMNS[expected]), rows))
     if len(set(keys)) != len(keys):
@@ -320,10 +298,10 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
                 raise DuplicateKey(key, f"in {expected} frame")
             seen.add(key)
 
-    if ranked and not grouped:
+    if ranked:
         _check_ranks(frame)
     if not lenient:
-        frame._checked = (expected, grouped and ascending)
+        frame._checked = expected
     return frame
 
 
@@ -332,10 +310,13 @@ _SEGMENT_COLUMNS = frozenset(("qid", "docno", "score", "rank"))
 _STR_ONLY = {str}
 
 
-def _check_segments(segments: Sequence[_Segment]) -> bool | None:
-    """Whether the qids of the non-empty `segments` ascend, when the strict
-    R check of their rows would pass; None when these whole-column checks
-    cannot vouch for that and the rows must be checked one by one."""
+def _check_segments(segments: Sequence[_Segment]) -> bool:
+    """Whether whole-column checks vouch that the strict R check of the
+    rows of `segments` would pass: qid and docnos of exact type `str`,
+    float64 scores without NaN that never increase, docnos unique within a
+    segment, qids unique across the non-empty segments, and no included
+    field that replaces an R column. False means the rows must be checked
+    one by one."""
     qids = []
     for seg in segments:
         docnos, scores = seg.docnos, seg.scores
@@ -349,11 +330,9 @@ def _check_segments(segments: Sequence[_Segment]) -> bool | None:
                 # test, one further down the second
                 or scores[0] != scores[0] or not (scores[1:] <= scores[:-1]).all()
                 or any(name in _SEGMENT_COLUMNS for name, _ in seg.fields)):
-            return None
+            return False
         qids.append(seg.qid)
-    if len(set(qids)) != len(qids):
-        return None
-    return all(a < b for a, b in zip(qids, qids[1:]))
+    return len(set(qids)) == len(qids)
 
 
 def _check_ranks(frame: Frame) -> None:
@@ -423,29 +402,34 @@ def assign_ranks(rows: Frame | Iterable[Mapping]) -> Frame:
 def rank_ordered(frame: Frame) -> Sequence[dict]:
     """The rows of an R frame in the order every reader of R rows takes them.
 
-    Ranked rows come in (qid, rank) order: as they are when `validate` found
-    them so, sorted otherwise. Rows that carry no rank (a candidate set from
-    set union) come in their given order. Cutoff, set union, context
-    building, the IRCoT fold and run files all read R rows through this
-    function, so a stage that emits its rows in any other order is read as
-    if it had sorted them.
+    Ranked rows are sorted by (qid, rank), which costs one linear pass over
+    rows that the retriever or `assign_ranks` already emitted in that order.
+    Rows that carry no rank (a candidate set from set union) come in their
+    given order. Cutoff, set union, context building, the IRCoT fold and run
+    files all read R rows through this function, so a stage that emits its
+    rows in any other order is read as if it had sorted them.
     """
     rows = frame.rows
-    if frame._checked == (SemType.R, True) or not any("rank" in r for r in rows):
+    if not any("rank" in r for r in rows):
         return rows
     return sorted(rows, key=itemgetter("qid", "rank"))
 
 
-def _ranked_segments(frame: Frame) -> list[_Segment] | None:
-    """The non-empty segments of a strictly checked frame that has not
-    built its rows, in the order `rank_ordered` would give their rows
-    (each segment is one qid's rows in rank order); None once the frame
-    holds rows."""
+def _ranked_columns(frame: Frame) -> list[tuple[str, list[str], list]]:
+    """(qid, docnos, scores) per qid of a strictly checked R frame, qids
+    ascending and each qid's entries in rank order, so that the rank is the
+    position. A frame that has not built its rows gives its non-empty
+    segments' columns without building them."""
     rows = frame._rows
-    if type(rows) is not _Segmented:
-        return None
-    segments = [s for s in rows.segments if s.docnos]
-    return segments if frame._checked[1] else sorted(segments, key=lambda s: s.qid)
+    if type(rows) is _Segmented:
+        segments = sorted((s for s in rows.segments if s.docnos), key=attrgetter("qid"))
+        return [(s.qid, s.docnos, s.scores.tolist()) for s in segments]
+    columns = []
+    for qid, group in groupby(rank_ordered(frame), itemgetter("qid")):
+        group = list(group)
+        columns.append((qid, list(map(itemgetter("docno"), group)),
+                        list(map(itemgetter("score"), group))))
+    return columns
 
 
 def concat(frames: Sequence[Frame], semtype: SemType) -> Frame:

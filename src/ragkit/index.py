@@ -37,6 +37,7 @@ import tempfile
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -268,7 +269,7 @@ class InvertedIndex:
     @classmethod
     def load(cls, directory: str | Path) -> "InvertedIndex":
         """Read an index saved by save(); ParseError if it is not one, is
-        format 1, or its files disagree with each other."""
+        format 1, or its files disagree with each other or themselves."""
         d = Path(directory)
         manifest_path = d / MANIFEST
         if not manifest_path.is_file():
@@ -301,7 +302,10 @@ class InvertedIndex:
                 raise ParseError(f"corrupt index in {d}: {what}")
 
         require(all(isinstance(v, list) for v in meta.values()), "JSON part is not a list")
-        n_terms, n_docs = len(meta["terms"]), len(meta["docnos"])
+        terms, docnos, stored = meta.values()
+        require(set(map(type, chain(terms, docnos))) <= {str}, "term or docno is not a str")
+        require(set(map(type, stored)) <= {dict}, "stored entry is not a JSON object")
+        n_terms, n_docs = len(terms), len(docnos)
         indptr, doc_ids, tfs, doclens = arrays.values()
         require(all(a.ndim == 1 and a.dtype == _ARRAYS[name]
                     for name, a in arrays.items()), "array of the wrong shape or dtype")
@@ -311,7 +315,7 @@ class InvertedIndex:
         require(indptr[0] == 0 and indptr[-1] == len(doc_ids) == len(tfs)
                 and np.all(indptr[1:] >= indptr[:-1]),
                 "indptr does not span doc_ids and tfs")
-        require(len(doclens) == n_docs == len(meta["stored"]),
+        require(len(doclens) == n_docs == len(stored),
                 "doclens or stored fields disagree with n_docs")
         require(len(doc_ids) == 0 or 0 <= doc_ids.min() <= doc_ids.max() < n_docs,
                 "doc id out of range")
@@ -327,8 +331,9 @@ class InvertedIndex:
             tokenizer=Tokenizer(manifest.get("stopwords", ())),
             stored_fields=manifest.get("stored_fields", ["text"]),
         )
-        idx._set(meta["terms"], meta["docnos"], meta["stored"], arrays,
-                 manifest["fingerprint"])
+        idx._set(terms, docnos, stored, arrays, manifest["fingerprint"])
+        require(len(idx._term_ids) == n_terms and len(idx._ids) == n_docs,
+                "repeated term or docno")
         return idx
 
 

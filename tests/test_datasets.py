@@ -208,13 +208,19 @@ def _reference_lines(rows, tag):
 @st.composite
 def _ranked_layouts(draw):
     """A valid R frame's rows from assign_ranks over several qids, laid out
-    as ranked, with qids descending, or shuffled."""
+    as ranked, with qids descending, or shuffled. Scores include ints that
+    a float64 cannot hold exactly and infinities; qids and docnos may
+    contain `%`."""
     rows = []
-    for qid in draw(st.lists(st.sampled_from(["q1", "q10", "q2", "Q3", "é"]),
+    for qid in draw(st.lists(st.sampled_from(["q1", "q10", "q2", "Q3", "é", "q%d", "%"]),
                              min_size=1, max_size=4, unique=True)):
-        scores = draw(st.lists(st.one_of(st.floats(-5, 5, allow_nan=False), st.integers(-5, 5)),
+        scores = draw(st.lists(st.one_of(st.floats(-5, 5, allow_nan=False), st.integers(-5, 5),
+                                         st.integers(2**53 + 1, 2**64),
+                                         st.integers(-2**64, -2**53 - 1),
+                                         st.sampled_from([float("inf"), float("-inf")])),
                                min_size=1, max_size=5))
-        rows += [{"qid": qid, "docno": f"d{len(rows) + i}", "score": s}
+        prefix = draw(st.sampled_from(["d", "d%", "%s"]))
+        rows += [{"qid": qid, "docno": f"{prefix}{len(rows) + i}", "score": s}
                  for i, s in enumerate(scores)]
     rows = list(assign_ranks(rows).rows)
     layout = draw(st.sampled_from(["ranked", "qids descending", "shuffled"]))

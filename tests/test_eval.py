@@ -15,6 +15,7 @@ from scipy import stats as scipy_stats
 import ragkit
 from ragkit.errors import (
     EmptyGold,
+    InvalidK,
     LengthMismatch,
     MissingGold,
     TooFewSamples,
@@ -532,6 +533,12 @@ class TestExperiment:
         assert whole.aggregates == batched.aggregates
         with pytest.raises(ValueError):
             experiment([("a", sys_a)], TOPICS, GOLD, batch_size=0)
+
+    @pytest.mark.parametrize("batch_size", [0, -1, True, 2.5, "2"])
+    def test_batch_size_must_be_a_positive_int(self, batch_size):
+        sys_a = make_system({"q1": "paris", "q2": "tokyo", "q3": "rome"}, "a")
+        with pytest.raises(InvalidK, match="batch_size must be a positive int"):
+            experiment([("a", sys_a)], TOPICS, GOLD, batch_size=batch_size)
 
     def test_timing_keys(self):
         r = mock_retriever({q["qid"]: [("d1", 1.0)] for q in TOPICS.rows},

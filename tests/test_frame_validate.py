@@ -225,7 +225,6 @@ def test_retriever_output_is_rank_checked_in_the_one_pass(monkeypatch):
     out = run(BM25Retriever(idx, num_results=1000), q)
     lines = run_lines(out)
     assert len(out) == len(lines) == 2000
-    validate(assign_ranks(out), SemType.R)
 
 
 def test_other_layouts_fall_back_to_the_sorting_check(monkeypatch):
@@ -423,4 +422,4 @@ def test_an_empty_segmented_frame_is_not_remembered_as_a_candidate_set():
     payload = [["q1", "a query", [], np.array([], dtype=np.float64), []]]
     lenient = validate(_segmented(payload), SemType.R, allow_unscored_r=True)
     assert lenient._checked is None and lenient.rows == ()
-    assert validate(_segmented(payload), SemType.R)._checked == (SemType.R, True)
+    assert validate(_segmented(payload), SemType.R)._checked == SemType.R

@@ -606,6 +606,22 @@ class TestPersistence:
         with pytest.raises(ParseError, match="corrupt index"):
             InvertedIndex.load(tmp_path / "idx")
 
+    @pytest.mark.parametrize("name, damage", [
+        ("terms", lambda a: a[:1] * 2 + a[2:]),
+        ("terms", lambda a: [7] + a[1:]),
+        ("docnos", lambda a: a[:1] * 2 + a[2:]),
+        ("docnos", lambda a: [7] + a[1:]),
+        ("docnos", lambda a: [None] + a[1:]),
+        ("stored", lambda a: ["text"] + a[1:]),
+        ("stored", lambda a: [list(a[0].values())] + a[1:]),
+    ])
+    def test_load_refuses_inconsistent_json(self, small_index, tmp_path, name, damage):
+        small_index.save(tmp_path / "idx")
+        path = tmp_path / "idx" / f"{name}.json"
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        with pytest.raises(ParseError, match="corrupt index"):
+            InvertedIndex.load(tmp_path / "idx")
+
 
 class TestAttachAndIndexer:
     def test_attach_text(self, small_index):
