@@ -33,6 +33,42 @@ from ragkit.index import (
 from ragkit.rag import Concatenator, StubBackend, ircot, reader, zero_shot
 from ragkit.transformer import RankCutoff, Transformer, run
 
+# the definition of a token; Tokenizer must agree with it on every text
+TOKEN_RE = re.compile(r"[^\W_]+")
+
+
+def oracle_tokens(text, stopwords=()):
+    stop = {w.lower() for w in stopwords}
+    return [t for t in TOKEN_RE.findall(text.lower()) if t not in stop]
+
+
+class RegexTokenizer(Tokenizer):
+    """A Tokenizer that always takes the regex path."""
+
+    def tokenize(self, text):
+        return oracle_tokens(text, self.stopwords)
+
+
+# characters where a faster tokenizer could part from the regex: KELVIN SIGN
+# lowers to ASCII "k", U+0130 lowers to "i" plus U+0307 COMBINING DOT ABOVE,
+# "ß" lowers to itself, superscript two and ARABIC-INDIC DIGIT THREE are
+# alphanumeric non-ASCII, NBSP, NEL and LINE SEPARATOR are non-ASCII
+# whitespace, U+0307 alone is not alphanumeric, and "_" is a word character
+# that still separates tokens
+EDGE_CHARS = "\u212a\u0130\u00df\u00b2\u0663\u00a0\u0085\u2028\u0307_"
+ASCII_AND_EDGE = [chr(i) for i in range(128)] + list(EDGE_CHARS)
+
+MIXED_CORPUS = [
+    {"docno": "a1", "text": "The Quick-Brown FOX!! jumped_over (the) lazy dog... 42times"},
+    {"docno": "a2", "text": "e-mail: x.y@example.com; tel +1-555-0100\tfax\x1c007\x1f"},
+    {"docno": "a3", "text": "snake_case and CamelCase, 'quoted' \"double\" [brackets]{x}"},
+    {"docno": "u1", "text": "Café naïve—résumé, l'été!"},
+    {"docno": "u2", "text": "Straße² and ٣ apples; KELVIN \u212a and \u0130stanbul"},
+    {"docno": "u3", "text": "東京タワー is in Tokyo\u00a0(東京)\u2028next line\u0085end"},
+    {"docno": "u4", "text": "Ελληνικά κείμενα, русский текст and the fox again"},
+    {"docno": "u5", "text": "combining: e\u0301cole cafe\u0301 \u0307dot the end"},
+]
+
 
 class TestTokenizer:
     def test_lowercase_and_split_on_non_alphanumeric(self):
@@ -49,6 +85,36 @@ class TestTokenizer:
     def test_equality(self):
         assert Tokenizer(["a"]) == Tokenizer(["A"])
         assert Tokenizer(["a"]) != Tokenizer()
+
+    def test_unicode_letters_and_digits_are_alphanumeric(self):
+        t = Tokenizer()
+        assert t.tokenize("Café naïve—résumé, l'été!") == [
+            "café", "naïve", "résumé", "l", "été"]
+        assert t.tokenize("Straße² ٣ 東京タワー") == ["straße²", "٣", "東京タワー"]
+        assert t.tokenize("\u212a") == ["k"]
+        # U+0130 lowers to "i" and U+0307, which is not alphanumeric
+        assert t.tokenize("\u0130x") == ["i", "x"]
+
+    def test_every_ascii_and_edge_character_alone_and_between_letters(self):
+        t = Tokenizer()
+        for c in ASCII_AND_EDGE:
+            for text in (c, f"a{c}b", f"A{c}B"):
+                assert t.tokenize(text) == oracle_tokens(text), repr(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           text=st.text(st.sampled_from(ASCII_AND_EDGE), max_size=40) | st.text(max_size=40))
+    def test_tokens_are_the_regex_tokens(self, data, text):
+        tokens = oracle_tokens(text)
+        stopwords = data.draw(st.sets(st.sampled_from(tokens))) if tokens else set()
+        assert Tokenizer(stopwords).tokenize(text) == oracle_tokens(text, stopwords)
+
+    @pytest.mark.parametrize("stopwords", [(), ("the", "AND", "café")])
+    def test_index_equals_the_regex_tokenizers_index(self, stopwords):
+        fast = index_corpus(MIXED_CORPUS, tokenizer=Tokenizer(stopwords))
+        regex = index_corpus(MIXED_CORPUS, tokenizer=RegexTokenizer(stopwords))
+        assert fast._terms == regex._terms
+        assert fast.fingerprint() == regex.fingerprint()
 
 
 class TestBM25Params:
@@ -106,6 +172,24 @@ class TestIndexConstruction:
             index_corpus([{"text": "no docno"}])
         with pytest.raises(MissingField):
             index_corpus([{"docno": "d"}])
+
+    def test_index_corpus_and_load_set_the_index_once(self, small_index, tmp_path,
+                                                       monkeypatch):
+        small_index.save(tmp_path / "idx")
+        calls = []
+        set_parts = InvertedIndex._set
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return set_parts(self, *args, **kwargs)
+
+        monkeypatch.setattr(InvertedIndex, "_set", counted)
+        built = index_corpus(MIXED_CORPUS)
+        assert calls == [built]
+        loaded = InvertedIndex.load(tmp_path / "idx")
+        assert calls == [built, loaded]
+        assert loaded == small_index
+        assert InvertedIndex().n_docs == 0
 
     def test_empty_corpus_is_valid(self):
         idx = index_corpus([])
@@ -614,6 +698,10 @@ class TestPersistence:
         ("docnos", lambda a: [None] + a[1:]),
         ("stored", lambda a: ["text"] + a[1:]),
         ("stored", lambda a: [list(a[0].values())] + a[1:]),
+        # save() writes only str fields; text is what the index feeds on
+        ("stored", lambda a: [{**a[0], "text": 5}] + a[1:]),
+        ("stored", lambda a: a[:-1] + [{**a[-1], "text": None}]),
+        ("stored", lambda a: [{**a[0], "text": ["the", "eiffel"]}] + a[1:]),
     ])
     def test_load_refuses_inconsistent_json(self, small_index, tmp_path, name, damage):
         small_index.save(tmp_path / "idx")
