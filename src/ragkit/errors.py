@@ -73,8 +73,23 @@ def check_positive(k, name: str = "k") -> None:
         raise InvalidK(k, name)
 
 
+def str_tuple(values, name: str) -> tuple[str, ...]:
+    """`values` as a tuple; TypeError naming `name` unless it is an iterable
+    of str. A bare str is refused too: it would split into its characters."""
+    try:
+        out = None if isinstance(values, str) else tuple(values)
+    except TypeError:  # not iterable
+        out = None
+    if out is None or not all(isinstance(v, str) for v in out):
+        raise TypeError(f"{name} must be a sequence of str, got {values!r}")
+    return out
+
+
 class PipelineError(RagkitError):
-    """A transformer failed during pipeline execution; carries the subtree path."""
+    """A leaf stage failed during pipeline execution. `path` names the stage
+    in the tree that was run and `cause` is the original exception; for a
+    stage that runs a pipeline of its own (ircot's retriever), `cause` is
+    the inner PipelineError, whose path is within that pipeline."""
 
     def __init__(self, path: str, cause: Exception):
         self.path = path

@@ -57,14 +57,9 @@ REQUIRED: dict[SemType, tuple[tuple[str, str], ...]] = {
     SemType.RA: (("qid", "text"), ("docno", "text"), ("label", "int")),
 }
 
+# the primary key of each type: its required qid and docno columns
 KEY_COLUMNS: dict[SemType, tuple[str, ...]] = {
-    SemType.Q: ("qid",),
-    SemType.D: ("docno",),
-    SemType.R: ("qid", "docno"),
-    SemType.QC: ("qid",),
-    SemType.A: ("qid",),
-    SemType.GA: ("qid",),
-    SemType.RA: ("qid", "docno"),
+    t: tuple(col for col, _ in cols if col in ("qid", "docno")) for t, cols in REQUIRED.items()
 }
 
 
@@ -90,9 +85,8 @@ def _kind_ok(value, kind: str) -> bool:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind == "int":
         return isinstance(value, int) and not isinstance(value, bool)
-    if kind == "text_list":
-        return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
-    raise ValueError(f"unknown column kind {kind!r}")
+    # "text_list": kinds come only from REQUIRED, so there is no other
+    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
 
 
 class _Segment:
@@ -306,7 +300,7 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
 
 
 # the R columns of a segment's rows that an included field must not replace
-_SEGMENT_COLUMNS = frozenset(("qid", "docno", "score", "rank"))
+_SEGMENT_COLUMNS = frozenset(col for col, _ in REQUIRED[SemType.R])
 _STR_ONLY = {str}
 
 

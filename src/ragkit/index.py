@@ -52,6 +52,7 @@ from .errors import (
     ParseError,
     UnknownDocno,
     check_positive,
+    str_tuple,
 )
 from .frame import Frame, SemType, _Segment, terminal_frame
 from .transformer import Signature, TERMINAL, Transformer
@@ -91,8 +92,8 @@ class Tokenizer:
     stopwords: Iterable[str] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "stopwords", frozenset(w.lower() for w in self.stopwords))
+        words = str_tuple(self.stopwords, "stopwords")
+        object.__setattr__(self, "stopwords", frozenset(w.lower() for w in words))
 
     def tokenize(self, text: str) -> list[str]:
         # the table covers ASCII only, so test the text it applies to: the
@@ -140,7 +141,7 @@ class InvertedIndex:
         index_corpus() call this once on an instance that skipped __init__,
         so they never build the empty index first."""
         self.tokenizer = tokenizer
-        self.stored_fields = tuple(stored_fields)
+        self.stored_fields = str_tuple(stored_fields, "stored_fields")
         self._terms = terms
         self._term_ids = {t: i for i, t in enumerate(terms)}
         self._docnos = docnos
@@ -359,9 +360,13 @@ class InvertedIndex:
         rising[starts[(starts > 0) & (starts < len(doc_ids))] - 1] = True
         require(rising.all(), "doc ids not strictly ascending within a posting list")
         require(isinstance(manifest.get("fingerprint"), str), "no fingerprint")
-        idx = cls.__new__(cls)._set(
-            Tokenizer(manifest.get("stopwords", ())), manifest.get("stored_fields", ["text"]),
-            terms, docnos, stored, arrays, manifest["fingerprint"])
+        stopwords = manifest.get("stopwords", [])
+        stored_fields = manifest.get("stored_fields", ["text"])
+        require(all(type(v) is list and set(map(type, v)) <= {str}
+                    for v in (stopwords, stored_fields)),
+                "stopwords or stored_fields is not a list of str")
+        idx = cls.__new__(cls)._set(Tokenizer(stopwords), stored_fields,
+                                    terms, docnos, stored, arrays, manifest["fingerprint"])
         require(len(idx._term_ids) == n_terms and len(idx._ids) == n_docs,
                 "repeated term or docno")
         return idx
@@ -379,7 +384,7 @@ def index_corpus(
     An empty stream yields an empty, still-valid index.
     """
     tokenizer = tokenizer or Tokenizer()
-    tokenize, fields = tokenizer.tokenize, tuple(fields_to_store)
+    tokenize, fields = tokenizer.tokenize, str_tuple(fields_to_store, "fields_to_store")
     term_ids: defaultdict[str, int] = defaultdict()
     term_ids.default_factory = term_ids.__len__  # a new term gets the next id
     token_ids, doclens = array("i"), array("i")
@@ -474,7 +479,7 @@ class BM25Retriever(Transformer):
     def __post_init__(self) -> None:
         check_positive(self.num_results, "num_results")
         self.bm25 = self.bm25 or BM25Params()
-        self.include_fields = tuple(self.include_fields)
+        self.include_fields = str_tuple(self.include_fields, "include_fields")
         # per-doc length norm: the same IEEE operations as bm25_score's
         # denominator; only read for docs with postings, so avgdl > 0 there
         k1, b, avgdl = self.bm25.k1, self.bm25.b, self.index.avgdl
@@ -550,7 +555,7 @@ class TextAttacher(Transformer):
     name = "attach_text"
 
     def __post_init__(self) -> None:
-        self.fields = tuple(self.fields)
+        self.fields = str_tuple(self.fields, "fields")
 
     def apply(self, frame: Frame) -> Frame:
         rows = []
@@ -580,7 +585,7 @@ class Indexer(Transformer):
     name = "indexer"
 
     def __post_init__(self) -> None:
-        self.fields_to_store = tuple(self.fields_to_store)
+        self.fields_to_store = str_tuple(self.fields_to_store, "fields_to_store")
         self.tokenizer = self.tokenizer or Tokenizer()
         self.index: InvertedIndex | None = None
 

@@ -30,6 +30,7 @@ from .errors import (
     TemplateError,
     TypeMismatch,
     check_positive,
+    str_tuple,
 )
 from .frame import Frame, SemType, rank_ordered
 from .transformer import Signature, Transformer, run, type_check
@@ -39,14 +40,8 @@ _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_]+)\}")
 
 def _substitute(template: str, values: dict[str, str]) -> str:
     # single pass, so placeholder-looking text inside substituted values is
-    # never expanded again
-    def repl(m: re.Match) -> str:
-        name = m.group(1)
-        if name not in values:
-            raise TemplateError(f"unknown placeholder {{{name}}}")
-        return values[name]
-
-    return _PLACEHOLDER_RE.sub(repl, template)
+    # never expanded again; _check_placeholders vetted every name
+    return _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], template)
 
 
 def _check_placeholders(template: str, allowed: set[str], where: str) -> None:
@@ -190,9 +185,10 @@ class HttpBackend(Backend):
 
     One generate call sends its prompts in parallel, at most `concurrency`
     at a time, and returns the answers in prompt order. The sending threads
-    belong to the backend: they start on first use and wait, idle, between
-    calls, because starting a thread can wait a whole scheduler slice on a
-    busy host, which would make each call's latency follow the host's load.
+    belong to the backend and send every prompt, a call's only one too:
+    they start on first use and wait, idle, between calls, because starting
+    a thread can wait a whole scheduler slice on a busy host, which would
+    make each call's latency follow the host's load.
     Calls from several threads share the one bound. All requests go
     through the one `session`, so a caller-supplied session is used from
     several threads at once; a session the backend makes itself keeps up to
@@ -237,8 +233,6 @@ class HttpBackend(Backend):
         self._pool = ThreadPoolExecutor(self.concurrency, thread_name_prefix="ragkit-http")
 
     def generate(self, prompts: Sequence[str], system: str = "") -> list[str]:
-        if len(prompts) <= 1:
-            return [self._one(p, system) for p in prompts]
         futures = [self._pool.submit(self._one, p, system) for p in prompts]
         try:
             wait(futures, return_when=FIRST_EXCEPTION)
@@ -332,7 +326,7 @@ class Concatenator(Transformer):
         if not isinstance(self.item_template, (str, type(None))):
             raise TypeError(
                 f"item_template must be None or a str, got {self.item_template!r}")
-        self.fields = tuple(self.fields)
+        self.fields = str_tuple(self.fields, "fields")
         if self.item_template is None:
             self.item_template = "\n".join("{%s}" % f for f in self.fields)
         _check_placeholders(
@@ -561,7 +555,7 @@ class IterativeRetriever(Transformer):
             raise TypeError(f"exit_phrase must be a str, got {self.exit_phrase!r}")
         self.exit_phrase = self.exit_phrase.lower()
         self.exit_condition = self.exit_condition or phrase_exit(self.exit_phrase)
-        self.fields = tuple(self.fields)
+        self.fields = str_tuple(self.fields, "fields")
         self._retrieve = self.retriever % self.docs_per_iteration
         # budgets at the backend's limit never cut what the prompt fitting
         # would keep, so the context is cut only once, to fit the prompt

@@ -54,9 +54,6 @@ class _Terminal:
     def __repr__(self) -> str:
         return "Terminal"
 
-    def __str__(self) -> str:
-        return "Terminal"
-
 
 TERMINAL = _Terminal()
 
@@ -206,6 +203,12 @@ class _Composite(Transformer):
     def _operands(self) -> list[tuple[str, Transformer]]:
         return [(f.name, getattr(self, f.name)) for f in fields(self)
                 if isinstance(getattr(self, f.name), Transformer)]
+
+    def __repr__(self) -> str:
+        try:
+            return super().__repr__()
+        except TypeMismatch:  # ill-typed: show the fields, as there is no signature
+            return f"{self.name}({', '.join(repr(getattr(self, f.name)) for f in fields(self))})"
 
 
 @dataclass(eq=False, repr=False)
@@ -431,21 +434,19 @@ TraceFn = Callable[[str, str, int], None]
 def run(p: Transformer, frame: Frame, trace: TraceFn | None = None) -> Frame:
     """Type-check, validate the input and evaluate the tree. Each leaf is
     invoked exactly once per position per run (under a cutoff, as its
-    `_cut` copy), and its output is validated where it is produced, under
-    the leaf's path; combinator outputs are built from those validated
-    frames and are not checked again, so every frame is validated once; a
-    frame that arrives already checked, as a shared prefix's output does in
-    `experiment`, passes on its remembered check.
+    `_cut` copy), and its output is checked where it is produced, under
+    the leaf's path (a terminal stage's must be empty); combinator outputs
+    are built from those validated frames and are not checked again, so
+    every frame is validated once; a frame that arrives already checked, as
+    a shared prefix's output does in `experiment`, passes on its remembered
+    check. A leaf's failure, even a PipelineError from a pipeline it runs
+    itself, is raised as a PipelineError at the leaf's path.
 
     `trace`, when given, is called as trace(path, node_name, out_row_count)
     after every node finishes.
     """
-    sig = type_check(p)
-    validate(frame, sig.input, allow_unscored_r=True)
-    out = _eval(p, frame, (), trace)
-    if sig.output is TERMINAL and len(out) != 0:
-        raise PipelineError("<root>", ValueError("terminal output must be empty"))
-    return out
+    validate(frame, type_check(p).input, allow_unscored_r=True)
+    return _eval(p, frame, (), trace)
 
 
 def _eval(
@@ -469,8 +470,8 @@ def _eval(
                 validate(out, node.signature.output, allow_unscored_r=True)
             elif out is None:
                 out = terminal_frame()
-        except PipelineError:
-            raise
+            elif len(out) != 0:
+                raise ValueError("terminal output must be empty")
         except Exception as exc:
             raise PipelineError(_path_str(path + (node.name,)), exc) from exc
     if trace is not None:

@@ -267,6 +267,24 @@ class TestExperimentCommand:
         assert rc == 1
         assert "baseline" in capsys.readouterr().err
 
+    def test_a_topic_matching_no_term_is_warned_about(self, index_dir, tmp_path, capsys):
+        # bm25 retrieves nothing for it, so the rag system has no answer
+        (tmp_path / "topics.jsonl").write_text(
+            json.dumps({"qid": "nomatch", "query": "zzyzx qwxq"}) + "\n")
+        (tmp_path / "answers.jsonl").write_text(
+            json.dumps({"qid": "nomatch", "answers": ["paris"]}) + "\n")
+        rc = main(["experiment", "--index", str(index_dir),
+                   "--system", "rag=bm25(k=1) >> concat >> reader(backend=stub:extract)",
+                   "--system", "echo=zeroshot(backend=stub:echo)",
+                   "--topics", str(tmp_path / "topics.jsonl"),
+                   "--answers", str(tmp_path / "answers.jsonl"),
+                   "--report", str(tmp_path / "report.json")])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err == "warning: system 'rag' produced no answer for qid 'nomatch'\n"
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["per_query"]["rag"]["nomatch"] == {"EM": 0.0, "F1": 0.0}
+
 
 class TestConvertCommand:
     def test_corpus(self, tmp_path, capsys):

@@ -181,6 +181,19 @@ class TestParseErrors:
         assert err.value.offset == offset
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("text, offset, fragment", [
+        ("bm25(=1)", 5, "expected an argument name"),
+        ("concat(docs=1, =2)", 15, "expected an argument name"),
+        ('concat(sep="\\q")', 11, "bad string literal"),
+        # a bare false is the bool False, which no count accepts
+        ("ircot(docs=false)", 11, "docs_per_iteration > 0), got False"),
+    ])
+    def test_argument_syntax_errors(self, env, text, offset, fragment):
+        with pytest.raises(ExprError) as err:
+            parse(text, env)
+        assert err.value.offset == offset
+        assert fragment in str(err.value)
+
     def test_repeated_argument_is_refused(self, env):
         with pytest.raises(ExprError, match="argument 'k' given twice") as err:
             parse("bm25(k=1, k=2)", env)

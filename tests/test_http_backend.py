@@ -405,6 +405,17 @@ def test_calls_reuse_the_backends_threads(server):
     assert not any(thread.is_alive() for thread in started)
 
 
+def test_one_prompt_goes_out_on_a_pool_thread(server):
+    session = ThreadRecordingSession()
+    backend = make_backend(server, session=session)
+    assert backend.generate([]) == []
+    assert session.threads == []
+    assert backend.generate(["only"]) == ["stub"]
+    [thread] = session.threads
+    assert thread is not threading.current_thread()
+    assert thread.name.startswith("ragkit-http")
+
+
 def test_calls_from_several_threads_share_one_bound(server):
     def reply(arrival, body):
         time.sleep(0.03)

@@ -579,6 +579,31 @@ class TestPersistence:
         assert manifest["fingerprint"] == small_index.fingerprint()
         assert InvertedIndex.load(tmp_path / "idx")._fingerprint == manifest["fingerprint"]
 
+    def test_save_refuses_a_file(self, small_index, tmp_path):
+        (tmp_path / "idx").write_text("mine")
+        with pytest.raises(FileExistsError, match="not a directory"):
+            small_index.save(tmp_path / "idx")
+        assert (tmp_path / "idx").read_text() == "mine"
+
+    @pytest.mark.parametrize("text", ["{not json", "[2]", ""])
+    def test_load_refuses_an_unparseable_manifest(self, small_index, tmp_path, text):
+        small_index.save(tmp_path / "idx")
+        (tmp_path / "idx" / "manifest.json").write_text(text)
+        with pytest.raises(ParseError, match="unreadable index manifest"):
+            InvertedIndex.load(tmp_path / "idx")
+
+    @pytest.mark.parametrize("key, value", [
+        ("stopwords", "the"), ("stopwords", 5), ("stopwords", None), ("stopwords", ["a", 5]),
+        ("stored_fields", "text"), ("stored_fields", {"text": 1}), ("stored_fields", [None]),
+    ])
+    def test_load_refuses_a_config_that_is_not_a_list_of_str(
+            self, small_index, tmp_path, key, value):
+        small_index.save(tmp_path / "idx")
+        path = tmp_path / "idx" / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        with pytest.raises(ParseError, match="corrupt index.*not a list of str"):
+            InvertedIndex.load(tmp_path / "idx")
+
     def test_save_replaces_an_index_and_refuses_other_directories(self, small_index, tmp_path):
         other = index_corpus([{"docno": "x", "text": "other"}])
         other.save(tmp_path / "idx")

@@ -109,6 +109,10 @@ class TestStubBackend:
         prompt = "Context:\nParis is big. It is old.\n\nQuestion: x\nAnswer:"
         assert s.generate([prompt]) == ["Paris is big"]
 
+    def test_extractive_mode_without_a_sentence_answers_empty(self):
+        s = StubBackend("extractive_first_sentence")
+        assert s.generate(["Context:\n . ! \n?", "?!"]) == ["", ""]
+
     def test_scripted_mode_first_match_wins(self):
         s = StubBackend("scripted",
                         script=[("alpha", "A"), ("beta", "B")],
@@ -430,6 +434,22 @@ class TestIterativeRetrieval:
         with pytest.raises(PipelineError) as err:
             run(loop, Frame(SemType.Q, [{"qid": "q1", "query": "x"}]))
         assert isinstance(err.value.cause, BackendError)
+
+    def test_a_retriever_failure_is_reported_at_the_ircot_stage(self):
+        def flaky(frame):
+            raise RuntimeError("index offline")
+
+        loop = ircot(FnTransformer(Signature(SemType.Q, SemType.R), "flaky", flaky),
+                     StubBackend())
+        with pytest.raises(PipelineError) as err:
+            run(loop, Frame(SemType.Q, [{"qid": "q1", "query": "x"}]))
+        # the inner run's path is relative to ircot's own retrieval pipeline
+        assert err.value.path == "ircot"
+        inner = err.value.cause
+        assert isinstance(inner, PipelineError)
+        assert inner.path == "rank_cutoff.child/flaky"
+        assert isinstance(inner.cause, RuntimeError)
+        assert str(err.value) == "error at ircot: error at rank_cutoff.child/flaky: index offline"
 
     def test_missing_context_field_is_reported(self):
         ret = mock_retriever({"q1": [("d1", 1.0)]})  # rows carry no text column

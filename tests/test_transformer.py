@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ragkit.transformer
 from ragkit.errors import InvalidK, KindMismatch, PipelineError, TypeMismatch
@@ -69,6 +70,38 @@ class TestLeaves:
     def test_repr_shows_signature(self):
         t = mock_retriever(TABLE)
         assert repr(t) == "mockret[Q -> R]"
+
+
+_LEAVES = [
+    mock_retriever(TABLE), reranker(), Concatenator(), reader(StubBackend()),
+    FnTransformer(Signature(SemType.D, TERMINAL), "sink", lambda f: None),
+    *(identity(t) for t in SemType),
+]
+
+# trees from the raw constructors, which do not type-check
+_RAW_TREES = st.recursive(st.sampled_from(_LEAVES), lambda children: st.one_of(
+    st.builds(Then, children, children),
+    st.builds(CombineSum, children, children, st.sampled_from([0.5, 1.0])),
+    st.builds(SetUnion, children, children),
+    st.builds(RankCutoff, children, st.integers(1, 9)),
+), max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RAW_TREES)
+def test_repr_never_raises(tree):
+    try:
+        sig = type_check(tree)
+    except TypeMismatch:
+        assert repr(tree).startswith(f"{tree.name}(")
+    else:
+        assert repr(tree) == f"{tree.name}[{sig}]"
+
+
+def test_an_ill_typed_tree_shows_its_operands():
+    bm = mock_retriever(TABLE)
+    assert repr(RankCutoff(Then(bm, bm), 3)) == \
+        "rank_cutoff(then(mockret[Q -> R], mockret[Q -> R]), 3)"
 
 
 class TestEquality:
@@ -293,6 +326,15 @@ class TestRun:
         p = mock_retriever(TABLE) >> reranker()
         run(p, q_frame("q1"), trace=lambda path, name, n: seen.append((name, n)))
         assert seen == [("mockret", 3), ("boost", 3), ("then", 3)]
+
+    def test_a_terminal_stage_that_returns_rows_is_named(self):
+        leaky = FnTransformer(Signature(SemType.D, TERMINAL), "sink", lambda f: f)
+        docs = Frame(SemType.D, [{"docno": "d", "text": "x"}])
+        for p, path in [(leaky, "sink"), (then(identity(SemType.D), leaky), "then.right/sink")]:
+            with pytest.raises(PipelineError) as err:
+                run(p, docs)
+            assert err.value.path == path
+            assert str(err.value.cause) == "terminal output must be empty"
 
     def test_terminal_run_returns_empty_frame(self):
         sink = FnTransformer(Signature(SemType.D, TERMINAL), "sink",
