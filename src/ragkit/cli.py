@@ -27,7 +27,7 @@ from .datasets import (
     run_lines,
 )
 from .errors import RagkitError, check_positive
-from .eval import experiment, resolve_measures
+from .eval import experiment
 from .exprs import Env, parse
 from .frame import Frame, SemType
 from .index import InvertedIndex, Tokenizer, index_corpus
@@ -178,14 +178,11 @@ def cmd_experiment(args) -> int:
         systems.append((name.strip(), parse(expr.strip(), env)))
     topics = load_topics(args.topics)
     gold = load_answers(args.answers)
-    measures = resolve_measures(
-        [m.strip() for m in args.measures.split(",") if m.strip()]
-    )
     report = experiment(
         systems,
         topics,
         gold,
-        measures=measures,
+        measures=[m.strip() for m in args.measures.split(",") if m.strip()],
         baseline=args.baseline,
         batch_size=args.batch_size,
         correction=args.correction,

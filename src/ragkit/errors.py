@@ -16,22 +16,20 @@ class ValidationError(RagkitError):
     """A frame violates its schema or key invariants."""
 
 
+def _in(context: str) -> str:
+    return f" ({context})" if context else ""
+
+
 class MissingColumn(ValidationError):
     def __init__(self, column: str, context: str = ""):
         self.column = column
-        msg = f"missing required column {column!r}"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
+        super().__init__(f"missing required column {column!r}{_in(context)}")
 
 
 class DuplicateKey(ValidationError):
     def __init__(self, key, context: str = ""):
         self.key = key
-        msg = f"duplicate primary key {key!r}"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
+        super().__init__(f"duplicate primary key {key!r}{_in(context)}")
 
 
 class RankViolation(ValidationError):
@@ -41,8 +39,7 @@ class RankViolation(ValidationError):
 
 
 class KindMismatch(ValidationError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 class TypeMismatch(RagkitError):
@@ -73,6 +70,12 @@ def check_positive(k, name: str = "k") -> None:
         raise InvalidK(k, name)
 
 
+def check_str(value, name: str) -> None:
+    """Raise TypeError naming `name` unless value is a str."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a str, got {value!r}")
+
+
 def str_tuple(values, name: str) -> tuple[str, ...]:
     """`values` as a tuple; TypeError naming `name` unless it is an iterable
     of str. A bare str is refused too: it would split into its characters."""
@@ -86,8 +89,8 @@ def str_tuple(values, name: str) -> tuple[str, ...]:
 
 
 class PipelineError(RagkitError):
-    """A leaf stage failed during pipeline execution. `path` names the stage
-    in the tree that was run and `cause` is the original exception; for a
+    """A node failed during pipeline execution. `path` names the node in
+    the tree that was run and `cause` is the original exception; for a
     stage that runs a pipeline of its own (ircot's retriever), `cause` is
     the inner PipelineError, whose path is within that pipeline."""
 
@@ -112,10 +115,7 @@ class UnknownDocno(RagkitError):
 class MissingField(RagkitError):
     def __init__(self, field: str, context: str = ""):
         self.field = field
-        msg = f"missing field {field!r}"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
+        super().__init__(f"missing field {field!r}{_in(context)}")
 
 
 class TemplateError(RagkitError):

@@ -10,7 +10,9 @@ answers, measures) and evaluates every system over every topic. Pipelines
 that start with the same stages share that work: any prefix of stages that
 two or more systems have in common runs once per topic batch and its output
 feeds the rest of each of those systems, which cannot change any score
-because transformers are pure and frames immutable.
+because transformers are pure and frames immutable. Two prefixes are shared
+exactly when they compare equal under ==, so identity stages are neutral:
+`p >> identity(T) >> q` shares its `p >> q` with any system that has it.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .frame import Frame, SemType, validate
 from .transformer import (
     Signature,
     Transformer,
+    _spine,
     chain,
-    components,
     run,
     type_check,
 )
@@ -243,12 +245,12 @@ def _segments(
 ) -> list[list[tuple[tuple, Transformer, int]]]:
     """Cut each pipeline's `then` spine where fewer systems share its prefix.
 
-    Prefixes are compared as tuples of their components. Each segment
+    Prefixes are compared as tuples of `_spine` stages, as `then`'s ==
+    does, so identity stages neither split a prefix nor run. Each segment
     comes as (key of the prefix it ends, the segment, how many pipelines
-    have that prefix); a segment with several users can run once per batch
-    and feed them all.
+    have that prefix); one with several users runs once per batch for all.
     """
-    spines = [components(p) for p in pipelines]
+    spines = [_spine(p) for p in pipelines]
     keys = [tuple(spine) for spine in spines]
     users = Counter(key[:i] for key in keys for i in range(1, len(key) + 1))
     plans = []

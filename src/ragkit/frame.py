@@ -284,13 +284,7 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
             if score != score:
                 raise KindMismatch(f"score must be numeric, got {score!r}")
 
-    keys = list(map(itemgetter(*KEY_COLUMNS[expected]), rows))
-    if len(set(keys)) != len(keys):
-        seen = set()
-        for key in keys:
-            if key in seen:
-                raise DuplicateKey(key, f"in {expected} frame")
-            seen.add(key)
+    _check_unique(list(map(itemgetter(*KEY_COLUMNS[expected]), rows)), f"in {expected} frame")
 
     if ranked:
         _check_ranks(frame)
@@ -329,16 +323,26 @@ def _check_segments(segments: Sequence[_Segment]) -> bool:
     return len(set(qids)) == len(qids)
 
 
+def _check_unique(keys: list, where: str) -> None:
+    """DuplicateKey for the first key that repeats; one set() when none does."""
+    if len(set(keys)) != len(keys):
+        seen = set()
+        for key in keys:
+            if key in seen:
+                raise DuplicateKey(key, where)
+            seen.add(key)
+
+
 def _check_ranks(frame: Frame) -> None:
     # per qid: ranks must be exactly {0..n-1} with score non-increasing in rank
     by_qid: dict[str, list[dict]] = {}
     for row in frame.rows:
         by_qid.setdefault(row["qid"], []).append(row)
     for qid, rows in by_qid.items():
-        ranks = sorted(r["rank"] for r in rows)
+        ordered = sorted(rows, key=itemgetter("rank"))
+        ranks = [r["rank"] for r in ordered]
         if ranks != list(range(len(rows))):
             raise RankViolation(qid, f"ranks {ranks} are not 0..{len(rows) - 1}")
-        ordered = sorted(rows, key=lambda r: r["rank"])
         for prev, cur in zip(ordered, ordered[1:]):
             if cur["score"] > prev["score"]:
                 raise RankViolation(
@@ -371,12 +375,7 @@ def assign_ranks(rows: Frame | Iterable[Mapping]) -> Frame:
         if (type(score) not in real and not _kind_ok(score, "real")) or score != score:
             raise KindMismatch(f"score must be numeric, got {score!r}")
 
-    seen = set()
-    for row in raw:
-        key = (row["qid"], row["docno"])
-        if key in seen:
-            raise DuplicateKey(key, "assign_ranks input")
-        seen.add(key)
+    _check_unique(list(map(itemgetter("qid", "docno"), raw)), "assign_ranks input")
 
     ordered = sorted(raw, key=lambda r: (r["qid"], -r["score"], r["docno"]))
     out = []

@@ -30,6 +30,7 @@ from .errors import (
     TemplateError,
     TypeMismatch,
     check_positive,
+    check_str,
     str_tuple,
 )
 from .frame import Frame, SemType, rank_ordered
@@ -68,8 +69,7 @@ class PromptTemplate:
 
     def __post_init__(self):
         for name in ("user_template", "system"):
-            if not isinstance(getattr(self, name), str):
-                raise TypeError(f"{name} must be a str, got {getattr(self, name)!r}")
+            check_str(getattr(self, name), name)
         _check_placeholders(self.user_template, {"query", "context"}, "user_template")
 
     def render_user(self, query: str, context: str = "") -> str:
@@ -101,8 +101,9 @@ DEFAULT_ITERATIVE_TEMPLATE = PromptTemplate(
 class Backend:
     """Prompt-in, answer-out generation service.
 
-    generate must return exactly one answer per prompt, order-aligned, and
-    must tolerate concurrent calls from independent pipeline runs.
+    generate must return exactly one str answer per prompt, order-aligned,
+    and must tolerate concurrent calls from independent pipeline runs.
+    `max_input_chars`, a positive int, is the prompt budget.
 
     `descriptor` names the backend for display. A dataclass backend's
     identity is its compared fields, so every setting that may change an
@@ -146,6 +147,7 @@ class StubBackend(Backend):
     def __post_init__(self) -> None:
         if self.mode not in self.MODES:
             raise ValueError(f"unknown stub mode {self.mode!r}; expected one of {self.MODES}")
+        check_positive(self.max_input_chars, "max_input_chars")
         self.script = tuple(map(tuple, self.script))
         self.descriptor = f"stub:{self.mode}"
         self.calls = 0
@@ -217,6 +219,7 @@ class HttpBackend(Backend):
 
     def __post_init__(self) -> None:
         check_positive(self.concurrency, "concurrency")
+        check_positive(self.max_input_chars, "max_input_chars")
         if self.retry_base_delay < 0:
             raise ValueError(f"retry_base_delay must be >= 0, got {self.retry_base_delay}")
         self.base_url = (
@@ -282,8 +285,9 @@ class HttpBackend(Backend):
 
     def _extract(self, resp) -> str:
         try:
-            data = resp.json()
-            return data["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
+            check_str(content, "content")
+            return content
         except (ValueError, LookupError, TypeError) as exc:
             raise BackendError(f"malformed backend response: {exc}") from exc
 
@@ -296,13 +300,14 @@ class Concatenator(Transformer):
     """R -> Qc: per query, renders the top documents into one context string.
 
     Rows are taken in rank order, up to k_docs (all when None). Each row is
-    rendered through the item template, cut to per_doc_char_budget, joined
-    by the separator, and the join is cut to total_char_budget. The item
-    template may use {ordinal} (1-based), {title}, {text} and each name in
-    fields; it defaults to the fields, one per line. Input rows must carry
-    the query column and every name in fields (attach them upstream with
-    include_fields or attach_text); a title or text outside fields renders
-    empty.
+    rendered as an item, cut to per_doc_char_budget, joined by the
+    separator, and the join is cut to total_char_budget. An item is the
+    values of fields, one per line, whatever their names; an item_template
+    replaces that and may use {ordinal} (1-based), {title}, {text} and each
+    name in fields that is placeholder syntax (letters and underscores).
+    Input rows must carry the query column and every name in fields (attach
+    them upstream with include_fields or attach_text); a title or text
+    outside fields renders empty.
     """
 
     k_docs: int | None = None
@@ -320,19 +325,14 @@ class Concatenator(Transformer):
             check_positive(self.k_docs, "k_docs")
         check_positive(self.per_doc_char_budget, "per_doc_char_budget")
         check_positive(self.total_char_budget, "total_char_budget")
-        if not isinstance(self.item_separator, str):
-            raise TypeError(
-                f"item_separator must be a str, got {self.item_separator!r}")
-        if not isinstance(self.item_template, (str, type(None))):
-            raise TypeError(
-                f"item_template must be None or a str, got {self.item_template!r}")
+        check_str(self.item_separator, "item_separator")
         self.fields = str_tuple(self.fields, "fields")
-        if self.item_template is None:
-            self.item_template = "\n".join("{%s}" % f for f in self.fields)
-        _check_placeholders(
-            self.item_template, {"title", "text", "ordinal", *self.fields},
-            "item_template",
-        )
+        if self.item_template is not None:
+            check_str(self.item_template, "item_template")
+            _check_placeholders(
+                self.item_template, {"title", "text", "ordinal", *self.fields},
+                "item_template",
+            )
 
     def apply(self, frame: Frame) -> Frame:
         groups: dict[str, list[dict]] = {}
@@ -353,12 +353,15 @@ class Concatenator(Transformer):
         """The context string for result rows, taken in the given order."""
         items = []
         for ordinal, row in enumerate(rows, start=1):
-            values = {"title": "", "text": "", "ordinal": str(ordinal)}
             for f in self.fields:
                 if f not in row:
                     raise MissingField(f, f"result row {row['docno']!r}")
-                values[f] = str(row[f])
-            item = _substitute(self.item_template, values)
+            if self.item_template is None:
+                item = "\n".join(str(row[f]) for f in self.fields)
+            else:
+                item = _substitute(self.item_template, {
+                    "title": "", "text": "", "ordinal": str(ordinal),
+                    **{f: str(row[f]) for f in self.fields}})
             items.append(item[: self.per_doc_char_budget])
         return self.item_separator.join(items)[: self.total_char_budget]
 
@@ -397,15 +400,16 @@ def _fit_prompt(template: PromptTemplate, query: str, qcontext: str,
     prompt = template.render_user(query, qcontext) + suffix
     if len(prompt) <= limit:
         return prompt
-    # cut the context tail first; the question, instructions and suffix
-    # survive whole or the prompt is refused
-    overhead = len(template.render_user(query, "")) + len(suffix)
+    # cut the context tail, never the rest; substitution is single-pass and
+    # literal, so each {context} adds exactly len(qcontext) to the prompt
+    uses = template.user_template.count("{context}")
+    overhead = len(prompt) - uses * len(qcontext)
     if overhead > limit:
         raise TemplateError(
             f"prompt without context is {overhead} chars, "
             f"over the backend's limit of {limit}"
         )
-    allowed = (limit - overhead) // template.user_template.count("{context}")
+    allowed = (limit - overhead) // uses
     return template.render_user(query, qcontext[:allowed]) + suffix
 
 
@@ -413,7 +417,8 @@ def _generate(backend: Backend, template: PromptTemplate,
               parts: Sequence[tuple[str, str, str]]) -> list[str]:
     """One answer per (query, context, suffix), in order: each prompt is
     fitted to the backend's max_input_chars, all go out in one generate
-    call, and a backend that does not answer each prompt once is an error."""
+    call, and a backend that does not answer each prompt once, with a str,
+    is an error."""
     prompts = [
         _fit_prompt(template, query, context, backend.max_input_chars, suffix)
         for query, context, suffix in parts
@@ -425,6 +430,9 @@ def _generate(backend: Backend, template: PromptTemplate,
         raise BackendError(
             f"backend returned {len(answers)} answers for {len(prompts)} prompts"
         )
+    for answer in answers:
+        if not isinstance(answer, str):
+            raise BackendError(f"backend returned {answer!r}, not a str, as an answer")
     return answers
 
 
@@ -501,8 +509,7 @@ class PhraseExit:
     phrase: str = DEFAULT_EXIT_PHRASE
 
     def __post_init__(self) -> None:
-        if not isinstance(self.phrase, str):
-            raise TypeError(f"phrase must be a str, got {self.phrase!r}")
+        check_str(self.phrase, "phrase")
         object.__setattr__(self, "phrase", self.phrase.lower())
 
     def __call__(self, row: dict) -> bool:
@@ -551,14 +558,14 @@ class IterativeRetriever(Transformer):
         check_positive(self.max_iterations, "max_iterations")
         check_positive(self.docs_per_iteration, "docs_per_iteration")
         self.template = self.template or self.default_template
-        if not isinstance(self.exit_phrase, str):
-            raise TypeError(f"exit_phrase must be a str, got {self.exit_phrase!r}")
+        check_str(self.exit_phrase, "exit_phrase")
         self.exit_phrase = self.exit_phrase.lower()
         self.exit_condition = self.exit_condition or phrase_exit(self.exit_phrase)
         self.fields = str_tuple(self.fields, "fields")
         self._retrieve = self.retriever % self.docs_per_iteration
         # budgets at the backend's limit never cut what the prompt fitting
         # would keep, so the context is cut only once, to fit the prompt
+        check_positive(self.backend.max_input_chars, "max_input_chars")
         limit = self.backend.max_input_chars
         self.concat = Concatenator(fields=self.fields, per_doc_char_budget=limit,
                                    total_char_budget=limit)

@@ -36,6 +36,7 @@ detection in experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -278,8 +279,12 @@ class CombineSum(_Merge):
     name = "combine_sum"
 
     def __post_init__(self) -> None:
-        self.weight_left = float(self.weight_left)
-        self.weight_right = float(self.weight_right)
+        # an infinite weight makes NaN scores (inf * 0, inf - inf) at run time
+        for name in ("weight_left", "weight_right"):
+            weight = float(getattr(self, name))
+            if not math.isfinite(weight):
+                raise ValueError(f"{name} must be finite, got {weight!r}")
+            setattr(self, name, weight)
 
     def _combine(self, left: Frame, right: Frame) -> Frame:
         # outer join on (qid, docno); absent side contributes 0. Guaranteed
@@ -439,8 +444,8 @@ def run(p: Transformer, frame: Frame, trace: TraceFn | None = None) -> Frame:
     are built from those validated frames and are not checked again, so
     every frame is validated once; a frame that arrives already checked, as
     a shared prefix's output does in `experiment`, passes on its remembered
-    check. A leaf's failure, even a PipelineError from a pipeline it runs
-    itself, is raised as a PipelineError at the leaf's path.
+    check. Any node's failure, even a PipelineError from a pipeline a leaf
+    runs itself, is raised as a PipelineError at that node's path.
 
     `trace`, when given, is called as trace(path, node_name, out_row_count)
     after every node finishes.
@@ -458,17 +463,18 @@ def _eval(
     if isinstance(node, Then):
         mid = _eval(node.left, frame, path + ("then.left",), trace)
         out = _eval(node.right, mid, path + ("then.right",), trace)
-    elif isinstance(node, _Composite):
-        out = node._combine(**{
+    else:
+        # a composite's operands first: their failures carry their own paths
+        operands = None if not isinstance(node, _Composite) else {
             field: _eval(child, frame, path + (f"{node.name}.{field}",), trace)
             for field, child in node._operands()
-        })
-    else:
+        }
         try:
-            out = node.apply(frame)
-            if node.signature.output is not TERMINAL:
-                validate(out, node.signature.output, allow_unscored_r=True)
-            elif out is None:
+            if operands is not None:
+                out = node._combine(**operands)
+            elif node.signature.output is not TERMINAL:
+                out = validate(node.apply(frame), node.signature.output, allow_unscored_r=True)
+            elif (out := node.apply(frame)) is None:
                 out = terminal_frame()
             elif len(out) != 0:
                 raise ValueError("terminal output must be empty")

@@ -36,7 +36,7 @@ from ragkit.eval import (
 )
 from ragkit.frame import Frame, SemType, assign_ranks
 from ragkit.rag import HttpBackend, StubBackend, concatenate_context, reader, zero_shot
-from ragkit.transformer import FnTransformer, Signature, Transformer, run
+from ragkit.transformer import FnTransformer, Signature, Transformer, chain, identity, run
 
 from conftest import counted, counting_retriever, mock_retriever, reranker
 
@@ -252,6 +252,15 @@ class TestCommonPrefix:
         twin = mock_retriever({"q1": [("d1", 1.0)]}) >> reranker(2.0) >> tail
         assert self.applies(counts, r >> b1 >> tail, twin) == {
             "r": 1, "b1": 1, "read": 1}
+
+    def test_identity_stages_do_not_split_a_shared_prefix(self):
+        counts, r, _, _, _ = self.stages()
+        ctx = counted(concatenate_context(fields=("query",)), counts, "ctx")
+        echo, extract = (counted(reader(StubBackend(mode)), counts, mode)
+                         for mode in ("echo_query", "extractive_first_sentence"))
+        systems = (r >> identity(SemType.R) >> ctx >> echo, r >> ctx >> extract)
+        assert self.applies(counts, *systems) == {
+            "r": 1, "ctx": 1, "echo_query": 1, "extractive_first_sentence": 1}
 
     def test_no_common_prefix(self):
         counts, r, b1, _, tail = self.stages()
@@ -635,6 +644,71 @@ def test_each_distinct_prefix_runs_once_per_batch(specs, n_topics, batch_size):
     assert applies[1] == {
         label: n * n_chunks
         for label, n in Counter(_label(stage) for spec in specs for stage in spec).items()
+    }
+
+
+# a spine is a retriever, up to two rerankers, a context builder and a
+# reader, each chosen by index; each stage's counter is named after it
+_SPINES = st.tuples(
+    st.integers(0, 1), st.lists(st.integers(0, 2), max_size=2),
+    st.integers(0, 1), st.integers(0, 1),
+).map(lambda t: (("ret", t[0]), *(("boost", j) for j in t[1]), ("concat", t[2]),
+                 ("read", t[3])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spines=st.lists(_SPINES, min_size=1, max_size=4),
+    data=st.data(),
+    n_topics=st.integers(1, 4),
+    batch_size=st.one_of(st.none(), st.integers(1, 3)),
+)
+def test_identity_stages_never_split_a_shared_prefix(spines, data, n_topics, batch_size):
+    counts = Counter()
+    stages = {
+        **{("ret", i): text_retriever(i) for i in range(2)},
+        **{("boost", j): reranker(float(j + 2), name=f"boost{j}") for j in range(3)},
+        **{("concat", j): concatenate_context(k_docs=j + 1) for j in range(2)},
+        **{("read", r): reader(StubBackend(mode)) for r, mode in
+           enumerate(("echo_query", "extractive_first_sentence"))},
+    }
+    stages = {spec: counted(stage, counts, _label(spec)) for spec, stage in stages.items()}
+    # the twin of a drawn spine has identity stages at drawn positions, each
+    # at the type that flows there
+    original = data.draw(st.sampled_from(spines))
+    parts = [stages[spec] for spec in original]
+    types = [part.signature.input for part in parts] + [SemType.A]
+    for pos in sorted(data.draw(st.lists(st.integers(0, len(parts)), min_size=1,
+                                         max_size=3)), reverse=True):
+        parts.insert(pos, identity(types[pos]))
+    twin = chain(parts)
+    assert twin == chain([stages[spec] for spec in original])
+
+    systems = [(f"s{n}", chain([stages[spec] for spec in spine]))
+               for n, spine in enumerate(spines)] + [("twin", twin)]
+    topics = Frame(SemType.Q, [
+        {"qid": f"q{n}", "query": f"question {n}"} for n in range(n_topics)
+    ])
+    gold = Frame(SemType.GA, [
+        {"qid": f"q{n}", "ganswer": [f"question {n}"]} for n in range(n_topics)
+    ])
+    n_chunks = 1 if batch_size is None else -(-n_topics // batch_size)
+
+    reports, applies = [], []
+    for share_prefix in (True, False):
+        counts.clear()
+        report = experiment(systems, topics, gold, baseline=0,
+                            batch_size=batch_size, share_prefix=share_prefix)
+        reports.append({k: v for k, v in report.to_dict().items() if k != "timing"})
+        applies.append(dict(counts))
+
+    assert reports[0] == reports[1]
+    # with sharing, each distinct prefix, the twin's included, runs once per
+    # batch: the twin adds none
+    prefixes = {spine[:n] for spine in spines for n in range(1, len(spine) + 1)}
+    assert applies[0] == {
+        label: n * n_chunks
+        for label, n in Counter(_label(p[-1]) for p in prefixes).items()
     }
 
 

@@ -208,6 +208,14 @@ def test_malformed_success_body(server):
         make_backend(server).generate(["x"])
 
 
+@pytest.mark.parametrize("answer", [None, 5, ["Paris"]])
+def test_a_content_that_is_not_a_str_is_malformed(server, answer):
+    server.set_responses((200, content(answer)))
+    with pytest.raises(BackendError, match="malformed backend response: content"):
+        make_backend(server).generate(["x"])
+    assert len(server.requests) == 1
+
+
 def test_connection_failure(monkeypatch):
     monkeypatch.delenv("RAGKIT_BASE_URL", raising=False)
     backend = HttpBackend("m", base_url="http://127.0.0.1:9/v1",

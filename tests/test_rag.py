@@ -15,6 +15,7 @@ from ragkit.rag import (
     DEFAULT_ITERATIVE_TEMPLATE,
     DEFAULT_RAG_TEMPLATE,
     Backend,
+    HttpBackend,
     PromptTemplate,
     StubBackend,
     concatenate_context,
@@ -190,6 +191,12 @@ class TestConcatenator:
         with pytest.raises(TemplateError):
             concatenate_context(fields=("abstract",), item_template="{body}")
 
+    def test_any_field_name_renders_in_the_default_item(self):
+        rows = assign_ranks([{"qid": "q", "query": "x", "docno": "d", "score": 1.0,
+                              "text2": "hello", "my-field": "x"}])
+        out = run(concatenate_context(fields=("text2", "my-field")), rows)
+        assert out.rows[0]["qcontext"] == "hello\nx"
+
     def test_unranked_candidates_keep_row_order(self):
         cand = Frame(SemType.R, [
             {"qid": "q", "query": "x", "docno": "d9", "text": "late"},
@@ -213,6 +220,32 @@ class TestConcatenator:
     def test_empty_input(self):
         out = run(concatenate_context(), Frame(SemType.R, ()))
         assert len(out) == 0
+
+
+@pytest.mark.parametrize("make", [
+    StubBackend,
+    lambda **kw: HttpBackend("m", base_url="http://localhost:1", **kw),
+], ids=["stub", "http"])
+@pytest.mark.parametrize("bad", [0, -3, 60.5, True, "100", None])
+def test_a_backend_budget_must_be_a_positive_int(make, bad):
+    with pytest.raises(InvalidK, match="max_input_chars"):
+        make(max_input_chars=bad)
+
+
+@pytest.mark.parametrize("answer", [None, 5, b"Paris"])
+@pytest.mark.parametrize("stage", [
+    lambda backend: reader(backend),
+    lambda backend: ircot(mock_retriever({"q1": [("d1", 1.0)]}), backend, fields=("query",)),
+], ids=["reader", "ircot"])
+def test_an_answer_that_is_not_a_str_is_reported(stage, answer):
+    p = stage(RecordingBackend(answer))
+    topics = Frame(SemType.Q, [{"qid": "q1", "query": "x"}])
+    frame = topics if p.signature.input is SemType.Q else qc_frame(
+        {"qid": "q1", "query": "x", "qcontext": "c"})
+    with pytest.raises(PipelineError) as err:
+        run(p, frame)
+    assert isinstance(err.value.cause, BackendError)
+    assert "not a str" in str(err.value.cause)
 
 
 class TestPromptRenderer:
@@ -404,6 +437,25 @@ class TestIterativeRetrieval:
             for name in ("max_iterations", "docs_per_iteration"):
                 with pytest.raises(InvalidK, match=name):
                     ircot(mock_retriever({}), StubBackend(), **{name: bad})
+
+    @pytest.mark.parametrize("bad", [0, -3, 60.5, None])
+    def test_the_backends_budget_is_checked_when_the_loop_is_built(self, bad):
+        with pytest.raises(InvalidK, match="max_input_chars"):
+            ircot(mock_retriever({}), RecordingBackend(max_input_chars=bad))
+
+    def test_any_field_name_reaches_the_prompt(self):
+        def apply(frame):
+            return assign_ranks([{"qid": r["qid"], "query": r["query"], "docno": "d1",
+                                  "score": 1.0, "text2": "alpha", "my-field": "beta"}
+                                 for r in frame.rows])
+
+        backend = RecordingBackend("so the answer is x")
+        ret = FnTransformer(Signature(SemType.Q, SemType.R), "odd_fields", apply)
+        out = run(ircot(ret, backend, fields=("text2", "my-field")),
+                  Frame(SemType.Q, [{"qid": "q1", "query": "which"}]))
+        assert out.rows[0]["qanswer"] == "x"
+        assert backend.prompts[0][0] == DEFAULT_ITERATIVE_TEMPLATE.render_user(
+            "which", "alpha\nbeta")
 
     def test_structural_equality_with_phrase_exit(self):
         a = ircot(mock_retriever({"q": []}), StubBackend(),

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -302,6 +304,29 @@ class TestRun:
         assert err.value.path == path
         assert str(err.value) == f"error at {path}: kaput"
 
+    def test_a_combinator_failure_is_wrapped_at_its_path(self):
+        # 0.0 * inf is NaN, which the summed scores' ranking refuses
+        inf = FnTransformer(Signature(SemType.Q, SemType.R), "inf", lambda f: assign_ranks(
+            [{"qid": r["qid"], "docno": "d9", "score": math.inf} for r in f.rows]))
+        summed = combine_sum(inf, mock_retriever(TABLE), 0.0, 1.0)
+        for p, path in [(summed, "combine_sum"),
+                        (summed >> reranker(), "then.left/combine_sum")]:
+            with pytest.raises(PipelineError) as err:
+                run(p, q_frame("q1"))
+            assert err.value.path == path
+            assert isinstance(err.value.cause, KindMismatch)
+            assert str(err.value) == f"error at {path}: score must be numeric, got nan"
+
+    @pytest.mark.parametrize("merge", [combine_sum, set_union])
+    def test_a_merge_of_incomparable_queries_is_wrapped_at_its_path(self, merge):
+        numbered = FnTransformer(Signature(SemType.Q, SemType.R), "numbered", lambda f: (
+            assign_ranks([{"qid": r["qid"], "docno": "d9", "score": 1.0, "query": 5}
+                          for r in f.rows])))
+        with pytest.raises(PipelineError) as err:
+            run(merge(mock_retriever(TABLE), numbered), q_frame("q1"))
+        assert err.value.path == merge.__name__
+        assert isinstance(err.value.cause, TypeError)
+
     def test_trace_of_all_four_operators_is_postorder_with_paths(self):
         r1 = mock_retriever({"q1": [("d1", 3.0), ("d2", 1.0)]}, name="r1")
         r2 = mock_retriever({"q1": [("d2", 5.0), ("d3", 2.0)]}, name="r2")
@@ -365,6 +390,19 @@ class TestCombineSum:
         for node in (r1 + r2, r1 | r2):
             out = run(node, q_frame("q1"))
             assert all(x["query"] == "query q1" for x in out.rows)
+
+
+@pytest.mark.parametrize("weights, name", [
+    ((math.nan, 1.0), "weight_left"),
+    ((1.0, math.inf), "weight_right"),
+    ((-math.inf, 1.0), "weight_left"),
+    ((1.0, "nan"), "weight_right"),
+])
+def test_combine_weights_must_be_finite(weights, name):
+    r = mock_retriever(TABLE)
+    for build in (combine_sum, CombineSum):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            build(r, r, *weights)
 
 
 class TestSetUnion:
