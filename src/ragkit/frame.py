@@ -17,8 +17,9 @@ redefine them. qid and docno are opaque strings compared bytewise.
 A retriever's R frame starts as one ranked segment per query (columns, not
 dicts) and builds its row dicts when something first reads them; `validate`
 and `run_lines` read the segments directly. `validate` only checks a frame
-and remembers which type passed; readers that need R rows in (qid, rank)
-order get them from `rank_ordered`.
+and remembers which type passed; readers of R rows get them per query, in
+rank order, from `by_query`. Set union's candidate rows come laid out per
+query too: left's rows, then right's unseen ones.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def validate(frame: Frame, expected: SemType, allow_unscored_r: bool = False) ->
     A frame remembers the type whose strict check it passed: validating it
     again for that type returns at once, after the tag check. Rows changed
     in place after construction are therefore not checked again; doing so
-    is unsupported. Nothing else is recorded: `rank_ordered` puts R rows in
+    is unsupported. Nothing else is recorded: `by_query` puts R rows in
     order when they are read.
 
     A retriever's frame that has not built its rows yet is checked by
@@ -378,34 +379,23 @@ def assign_ranks(rows: Frame | Iterable[Mapping]) -> Frame:
     _check_unique(list(map(itemgetter("qid", "docno"), raw)), "assign_ranks input")
 
     ordered = sorted(raw, key=lambda r: (r["qid"], -r["score"], r["docno"]))
-    out = []
-    rank = 0
-    prev_qid = None
-    for row in ordered:
-        if row["qid"] != prev_qid:
-            rank = 0
-            prev_qid = row["qid"]
-        new = dict(row)
-        new["rank"] = rank
-        rank += 1
-        out.append(new)
-    return Frame._owning(SemType.R, out)
+    return Frame._owning(SemType.R, [
+        {**row, "rank": rank}
+        for _, group in groupby(ordered, itemgetter("qid"))
+        for rank, row in enumerate(group)
+    ])
 
 
-def rank_ordered(frame: Frame) -> Sequence[dict]:
-    """The rows of an R frame in the order every reader of R rows takes them.
-
-    Ranked rows are sorted by (qid, rank), which costs one linear pass over
-    rows that the retriever or `assign_ranks` already emitted in that order.
-    Rows that carry no rank (a candidate set from set union) come in their
-    given order. Cutoff, set union, context building, the IRCoT fold and run
-    files all read R rows through this function, so a stage that emits its
-    rows in any other order is read as if it had sorted them.
-    """
+def by_query(frame: Frame) -> list[tuple[str, list[dict]]]:
+    """(qid, rows) per qid of an R frame, qids ascending: ranked rows in
+    rank order, a candidate set's (rows without rank) in their given order.
+    Cutoff, set union, context building, the IRCoT fold and run files read
+    R rows only through this, so a stage that emits its rows in any other
+    order is read as if it had sorted them."""
     rows = frame.rows
-    if not any("rank" in r for r in rows):
-        return rows
-    return sorted(rows, key=itemgetter("qid", "rank"))
+    key = itemgetter("qid", "rank") if any("rank" in r for r in rows) else itemgetter("qid")
+    ordered = sorted(rows, key=key)
+    return [(qid, list(group)) for qid, group in groupby(ordered, itemgetter("qid"))]
 
 
 def _ranked_columns(frame: Frame) -> list[tuple[str, list[str], list]]:
@@ -417,12 +407,8 @@ def _ranked_columns(frame: Frame) -> list[tuple[str, list[str], list]]:
     if type(rows) is _Segmented:
         segments = sorted((s for s in rows.segments if s.docnos), key=attrgetter("qid"))
         return [(s.qid, s.docnos, s.scores.tolist()) for s in segments]
-    columns = []
-    for qid, group in groupby(rank_ordered(frame), itemgetter("qid")):
-        group = list(group)
-        columns.append((qid, list(map(itemgetter("docno"), group)),
-                        list(map(itemgetter("score"), group))))
-    return columns
+    return [(qid, list(map(itemgetter("docno"), group)), list(map(itemgetter("score"), group)))
+            for qid, group in by_query(frame)]
 
 
 def concat(frames: Sequence[Frame], semtype: SemType) -> Frame:

@@ -33,7 +33,7 @@ from .errors import (
     check_str,
     str_tuple,
 )
-from .frame import Frame, SemType, rank_ordered
+from .frame import Frame, SemType, by_query
 from .transformer import Signature, Transformer, run, type_check
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_]+)\}")
@@ -222,6 +222,8 @@ class HttpBackend(Backend):
         check_positive(self.max_input_chars, "max_input_chars")
         if self.retry_base_delay < 0:
             raise ValueError(f"retry_base_delay must be >= 0, got {self.retry_base_delay}")
+        if type(self.max_retries) is not int or self.max_retries < 0:
+            raise ValueError(f"max_retries must be an int >= 0, got {self.max_retries!r}")
         self.base_url = (
             self.base_url
             or os.environ.get("RAGKIT_BASE_URL")
@@ -335,12 +337,8 @@ class Concatenator(Transformer):
             )
 
     def apply(self, frame: Frame) -> Frame:
-        groups: dict[str, list[dict]] = {}
-        for row in rank_ordered(frame):
-            groups.setdefault(row["qid"], []).append(row)
         out = []
-        for qid in sorted(groups):
-            rows = groups[qid]
+        for qid, rows in by_query(frame):
             if "query" not in rows[0]:
                 raise MissingField("query", f"result rows for qid {qid!r}")
             out.append(
@@ -436,6 +434,13 @@ def _generate(backend: Backend, template: PromptTemplate,
     return answers
 
 
+def _budget(backend: Backend) -> int:
+    """The backend's max_input_chars, checked when a stage over it is
+    built: InvalidK unless it is a positive int."""
+    check_positive(backend.max_input_chars, "max_input_chars")
+    return backend.max_input_chars
+
+
 @dataclass(unsafe_hash=True, repr=False)
 class _Answerer(Transformer):
     # Shared by Reader and ZeroShot: rows in qid order, one prompt each
@@ -444,6 +449,7 @@ class _Answerer(Transformer):
     template: PromptTemplate | None = None
 
     def __post_init__(self) -> None:
+        _budget(self.backend)
         self.template = self.template or self.default_template
 
     def apply(self, frame: Frame) -> Frame:
@@ -565,8 +571,7 @@ class IterativeRetriever(Transformer):
         self._retrieve = self.retriever % self.docs_per_iteration
         # budgets at the backend's limit never cut what the prompt fitting
         # would keep, so the context is cut only once, to fit the prompt
-        check_positive(self.backend.max_input_chars, "max_input_chars")
-        limit = self.backend.max_input_chars
+        limit = _budget(self.backend)
         self.concat = Concatenator(fields=self.fields, per_doc_char_budget=limit,
                                    total_char_budget=limit)
 
@@ -578,8 +583,9 @@ class IterativeRetriever(Transformer):
         while queries:
             found = run(self._retrieve, Frame(
                 SemType.Q, [{"qid": qid, "query": q} for qid, q in queries.items()]))
-            for r in rank_ordered(found):
-                docs[r["qid"]].setdefault(r["docno"], r)
+            for qid, rows in by_query(found):
+                for r in rows:
+                    docs[qid].setdefault(r["docno"], r)
             steps = _generate(self.backend, self.template, [
                 (questions[qid], self.concat.render(list(docs[qid].values())),
                  "\n" + " ".join(chains[qid]) if chains[qid] else "")

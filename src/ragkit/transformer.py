@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 from .errors import PipelineError, TypeMismatch, check_positive
-from .frame import Frame, SemType, assign_ranks, rank_ordered, terminal_frame, validate
+from .frame import Frame, SemType, assign_ranks, by_query, terminal_frame, validate
 
 
 class _Terminal:
@@ -305,20 +305,22 @@ class SetUnion(_Merge):
     name = "set_union"
 
     def _combine(self, left: Frame, right: Frame) -> Frame:
-        # left's rows in rank order, then right's rows not already seen, in
-        # right's rank order. Scores and ranks are dropped: a union of two
-        # differently calibrated score lists has no meaningful single score.
+        # per qid, qids ascending: left's rows in rank order, then right's
+        # rows not already seen, in right's rank order (the sort is stable).
+        # Scores and ranks are dropped: a union of two differently
+        # calibrated score lists has no meaningful single score.
         rows: dict[tuple[str, str], dict] = {}
         for frame in (left, right):
-            for row in rank_ordered(frame):
-                key = (row["qid"], row["docno"])
-                rows.setdefault(key, {"qid": row["qid"], "docno": row["docno"]})
-        return Frame(SemType.R, self._with_queries(list(rows.values()), left, right))
+            for qid, group in by_query(frame):
+                for row in group:
+                    rows.setdefault((qid, row["docno"]), {"qid": qid, "docno": row["docno"]})
+        laid_out = sorted(rows.values(), key=lambda r: r["qid"])
+        return Frame(SemType.R, self._with_queries(laid_out, left, right))
 
 
 @dataclass(unsafe_hash=True, repr=False)
 class RankCutoff(_Composite):
-    """Keeps each query's first k rows, read through `rank_ordered`. Its
+    """Keeps each query's first k rows, read through `by_query`. Its
     child runs as child._cut(k) where that exists, so a retriever fetches
     only k rows."""
 
@@ -342,14 +344,7 @@ class RankCutoff(_Composite):
         return child
 
     def _combine(self, child: Frame) -> Frame:
-        kept: dict[str, int] = {}
-        rows = []
-        for r in rank_ordered(child):
-            n = kept.get(r["qid"], 0)
-            if n < self.k:
-                kept[r["qid"]] = n + 1
-                rows.append(r)
-        return Frame(SemType.R, rows)
+        return Frame(SemType.R, [r for _, rows in by_query(child) for r in rows[: self.k]])
 
 
 def components(p: Transformer) -> list[Transformer]:

@@ -277,6 +277,12 @@ def test_only_transport_errors_are_retried(exc, calls):
     assert delays == [0.25, 0.5, 1.0][: calls - 1]
 
 
+@pytest.mark.parametrize("bad", [-1, 2.5, True, "3"])
+def test_max_retries_must_be_an_int_of_at_least_zero(bad):
+    with pytest.raises(ValueError, match="max_retries"):
+        HttpBackend("m", base_url="http://a", session=object(), max_retries=bad)
+
+
 def test_negative_retry_delay_is_refused_and_zero_is_not():
     with pytest.raises(ValueError, match="retry_base_delay must be >= 0, got -1"):
         HttpBackend("m", base_url="http://a", session=object(), retry_base_delay=-1)

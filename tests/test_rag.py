@@ -232,6 +232,18 @@ def test_a_backend_budget_must_be_a_positive_int(make, bad):
         make(max_input_chars=bad)
 
 
+@pytest.mark.parametrize("stage", [
+    reader,
+    zero_shot,
+    lambda backend: ircot(mock_retriever({}), backend),
+], ids=["reader", "zero_shot", "ircot"])
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True])
+def test_a_stage_refuses_its_backends_budget_when_it_is_built(stage, bad):
+    # a Backend subclass need not check its own budget, as the built-in ones do
+    with pytest.raises(InvalidK, match="max_input_chars"):
+        stage(RecordingBackend(max_input_chars=bad))
+
+
 @pytest.mark.parametrize("answer", [None, 5, b"Paris"])
 @pytest.mark.parametrize("stage", [
     lambda backend: reader(backend),

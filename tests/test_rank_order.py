@@ -1,11 +1,13 @@
 """Every reader of R rows -- cutoff, set union, context building, the IRCoT
-fold and run files -- reads them through `rank_ordered`, so the order in
-which a stage emits its rows never changes what the readers make of them."""
+fold and run files -- reads them per query through `by_query`, so the order
+in which a stage emits its rows never changes what the readers make of them.
+Cutoff and set union lay their output out per qid, qids ascending, a
+candidate set's too."""
 
 from hypothesis import given, settings, strategies as st
 
 from ragkit.datasets import run_lines
-from ragkit.frame import Frame, SemType, assign_ranks, rank_ordered, validate
+from ragkit.frame import Frame, SemType, assign_ranks, by_query, validate
 from ragkit.rag import Concatenator, ircot
 from ragkit.transformer import FnTransformer, Signature, run
 
@@ -91,20 +93,34 @@ def test_every_reader_of_r_rows_reads_them_in_rank_order(frame_rows, k):
 
     got, want = outputs(rows), outputs(reference)
     for reader in got:
-        if ranked or reader.startswith(("concat", "ircot")):
-            assert got[reader] == want[reader], reader
-        else:  # a candidate set's row layout across qids is its own
-            assert _by_qid(got[reader]) == _by_qid(want[reader]), reader
+        assert got[reader] == want[reader], reader
+    # candidate sets included, these outputs are laid out per qid, qids ascending
+    for reader in ("union left", "union right", "cutoff"):
+        qids = [r["qid"] for r in got[reader]]
+        assert qids == sorted(qids), reader
     # the cutoff keeps each qid's first k rows in rank order
-    first_k = [r for group in _by_qid(reference).values() for r in group[:k]]
-    cut = list(got["cutoff"])
-    assert (cut if ranked else sorted(cut, key=lambda r: r["qid"])) == first_k
+    assert list(got["cutoff"]) == [r for group in _by_qid(reference).values() for r in group[:k]]
 
 
-def test_rank_ordered_returns_the_rows_unless_they_need_sorting():
-    ranked = assign_ranks([{"qid": "q", "docno": f"d{i}", "score": float(i)} for i in range(3)])
-    assert rank_ordered(ranked) == sorted(ranked.rows, key=lambda r: r["rank"])
+def test_union_lays_its_rows_out_per_qid():
+    topics = Frame(SemType.Q, [{"qid": q, "query": q} for q in ("q2", "q1")])
+    a = mock_retriever({"q1": [("d1", 2.0), ("d2", 1.0)], "q2": [("d5", 1.0)]}, name="a")
+    b = mock_retriever({"q1": [("d3", 2.0), ("d1", 1.0)], "q2": [("d5", 2.0), ("d6", 1.0)]},
+                       name="b")
+    out = run(a | b, topics)
+    assert [(r["qid"], r["docno"]) for r in out.rows] == [
+        ("q1", "d1"), ("q1", "d2"), ("q1", "d3"), ("q2", "d5"), ("q2", "d6")]
+
+
+def test_by_query_groups_the_rows_per_qid_in_rank_order():
+    ranked = assign_ranks([{"qid": q, "docno": f"d{i}", "score": float(i)}
+                           for q in ("q2", "q1") for i in range(3)])
+    want = [(q, sorted((r for r in ranked.rows if r["qid"] == q), key=lambda r: r["rank"]))
+            for q in ("q1", "q2")]
+    assert by_query(ranked) == want
     shuffled = Frame(SemType.R, ranked.rows[::-1])
-    assert [r["rank"] for r in rank_ordered(validate(shuffled, SemType.R))] == [0, 1, 2]
+    assert by_query(validate(shuffled, SemType.R)) == want
+    # a candidate set's rows keep their given order within each qid
     candidates = Frame(SemType.R, [{"qid": q, "docno": d} for q, d in ("b1", "a2", "b0")])
-    assert rank_ordered(candidates) is candidates.rows
+    assert [(q, [r["docno"] for r in rows]) for q, rows in by_query(candidates)] == [
+        ("a", ["2"]), ("b", ["1", "0"])]
