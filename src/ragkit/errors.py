@@ -7,6 +7,9 @@ ValidationError.
 
 from __future__ import annotations
 
+import math
+from numbers import Real
+
 
 class RagkitError(Exception):
     """Base class for all ragkit errors."""
@@ -68,6 +71,13 @@ def check_positive(k, name: str = "k") -> None:
     """Raise InvalidK unless k is an int (not a bool) above zero."""
     if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
         raise InvalidK(k, name)
+
+
+def check_finite(value, name: str) -> None:
+    """Raise ValueError naming `name` unless value is a finite real number,
+    such as an int or float; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def check_str(value, name: str) -> None:

@@ -6,13 +6,14 @@ collapsed, before comparison. F1 is counted token overlap, maximized over
 the gold answers.
 
 The experiment runner takes the four essentials (systems, topics, gold
-answers, measures) and evaluates every system over every topic. Pipelines
-that start with the same stages share that work: any prefix of stages that
-two or more systems have in common runs once per topic batch and its output
-feeds the rest of each of those systems, which cannot change any score
-because transformers are pure and frames immutable. Two prefixes are shared
-exactly when they compare equal under ==, so identity stages are neutral:
-`p >> identity(T) >> q` shares its `p >> q` with any system that has it.
+answers, measures) and evaluates every system over every topic, running
+each one stage by stage along its `then` spine. When two or more systems
+share a prefix of stages, that prefix's output is kept for the topic batch
+and feeds the rest of each of them, so it runs once per batch; this cannot
+change any score because transformers are pure and frames immutable. Two
+prefixes are shared exactly when they compare equal under ==, so identity
+stages are neutral: `p >> identity(T) >> q` shares its `p >> q` with any
+system that has it. A failing stage is reported at its own path.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .transformer import (
     Signature,
     Transformer,
     _spine,
-    chain,
     run,
     type_check,
 )
@@ -237,33 +237,6 @@ def holm(pvalues: Sequence[float]) -> list[float]:
 CORRECTIONS = {"bonferroni": bonferroni, "holm": holm}
 
 
-# -- prefix sharing ---------------------------------------------------------------
-
-
-def _segments(
-    pipelines: Sequence[Transformer],
-) -> list[list[tuple[tuple, Transformer, int]]]:
-    """Cut each pipeline's `then` spine where fewer systems share its prefix.
-
-    Prefixes are compared as tuples of `_spine` stages, as `then`'s ==
-    does, so identity stages neither split a prefix nor run. Each segment
-    comes as (key of the prefix it ends, the segment, how many pipelines
-    have that prefix); one with several users runs once per batch for all.
-    """
-    spines = [_spine(p) for p in pipelines]
-    keys = [tuple(spine) for spine in spines]
-    users = Counter(key[:i] for key in keys for i in range(1, len(key) + 1))
-    plans = []
-    for spine, key in zip(spines, keys):
-        cuts = [i for i in range(1, len(key)) if users[key[:i + 1]] < users[key[:i]]]
-        bounds = [0, *cuts, len(key)]
-        plans.append([
-            (key[:b], chain(spine[a:b]), users[key[:b]])
-            for a, b in zip(bounds, bounds[1:])
-        ])
-    return plans
-
-
 # -- experiment -------------------------------------------------------------------
 
 
@@ -348,8 +321,10 @@ def experiment(
     system against it, per measure; correction ("holm" or "bonferroni")
     adjusts those p-values per measure across systems.
 
-    With share_prefix, every prefix of `then` stages that two or more
-    systems have in common runs once per batch of batch_size topics, and
+    With share_prefix, each system runs stage by stage, and the output of
+    every prefix of `then` stages that two or more systems have in common
+    is kept for the batch of batch_size topics, so that prefix runs once
+    per batch; a failing stage is reported at its own path.
     timing["_shared_prefix"] is the seconds spent in those shared stages;
     timing[name] is the rest of that system's time. share_prefix=False
     runs each pipeline whole; scores are identical either way, only the
@@ -364,7 +339,6 @@ def experiment(
         raise ValueError("system name '_shared_prefix' is reserved for timing")
     if batch_size is not None:
         check_positive(batch_size, "batch_size")
-    pipelines = [p for _, p in systems]
     for name, p in systems:
         sig = type_check(p)
         if sig.input is not SemType.Q or sig.output is not SemType.A:
@@ -392,10 +366,11 @@ def experiment(
         valid = ", ".join(sorted(CORRECTIONS))
         raise ValueError(f"unknown correction {correction!r}; valid: {valid}")
 
-    if share_prefix:
-        plans = _segments(pipelines)
-    else:
-        plans = [[((), p, 1)] for p in pipelines]
+    # spines drop identity stages as == does; a prefix of two or more
+    # systems' spines is kept for the batch (none is without share_prefix)
+    spines = [_spine(p) if share_prefix else [p] for _, p in systems]
+    users = Counter(tuple(s[:i]) for s in spines for i in range(1, len(s) + 1)
+                    if share_prefix)
 
     answers: dict[str, dict[str, str]] = {name: {} for name in names}
     timing = {name: 0.0 for name in names}
@@ -403,17 +378,18 @@ def experiment(
     for chunk in _chunks(topics.rows, batch_size):
         chunk_frame = Frame(SemType.Q, chunk)
         shared: dict[tuple, Frame] = {}
-        for name, segments in zip(names, plans):
+        for name, spine in zip(names, spines):
             out = chunk_frame
-            for key, part, users in segments:
+            for i, stage in enumerate(spine, 1):
+                key = tuple(spine[:i])
                 if key in shared:
                     out = shared[key]
                     continue
-                slot = "_shared_prefix" if users > 1 else name
+                slot = "_shared_prefix" if users[key] > 1 else name
                 t0 = time.perf_counter()
-                out = run(part, out)
+                out = run(stage, out)
                 timing[slot] += time.perf_counter() - t0
-                if users > 1:
+                if users[key] > 1:
                     shared[key] = out
             for row in out.rows:
                 answers[name][row["qid"]] = row["qanswer"]

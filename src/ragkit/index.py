@@ -51,6 +51,7 @@ from .errors import (
     MissingField,
     ParseError,
     UnknownDocno,
+    check_finite,
     check_positive,
     str_tuple,
 )
@@ -114,6 +115,8 @@ class BM25Params:
     b: float = 0.75
 
     def __post_init__(self):
+        check_finite(self.k1, "k1")
+        check_finite(self.b, "b")
         if self.k1 < 0:
             raise ValueError(f"k1 must be >= 0, got {self.k1}")
         if not 0 <= self.b <= 1:

@@ -29,6 +29,7 @@ from .errors import (
     MissingField,
     TemplateError,
     TypeMismatch,
+    check_finite,
     check_positive,
     check_str,
     str_tuple,
@@ -220,6 +221,10 @@ class HttpBackend(Backend):
     def __post_init__(self) -> None:
         check_positive(self.concurrency, "concurrency")
         check_positive(self.max_input_chars, "max_input_chars")
+        check_finite(self.timeout, "timeout")
+        if self.timeout <= 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        check_finite(self.retry_base_delay, "retry_base_delay")
         if self.retry_base_delay < 0:
             raise ValueError(f"retry_base_delay must be >= 0, got {self.retry_base_delay}")
         if type(self.max_retries) is not int or self.max_retries < 0:

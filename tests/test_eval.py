@@ -18,6 +18,7 @@ from ragkit.errors import (
     InvalidK,
     LengthMismatch,
     MissingGold,
+    PipelineError,
     TooFewSamples,
     TypeMismatch,
 )
@@ -35,7 +36,14 @@ from ragkit.eval import (
     resolve_measures,
 )
 from ragkit.frame import Frame, SemType, assign_ranks
-from ragkit.rag import HttpBackend, StubBackend, concatenate_context, reader, zero_shot
+from ragkit.rag import (
+    Backend,
+    HttpBackend,
+    StubBackend,
+    concatenate_context,
+    reader,
+    zero_shot,
+)
 from ragkit.transformer import FnTransformer, Signature, Transformer, chain, identity, run
 
 from conftest import counted, counting_retriever, mock_retriever, reranker
@@ -481,6 +489,44 @@ class TestExperiment:
         assert calls["applies"] == 2 and calls["rows"] == 6
         assert shared.aggregates == unshared.aggregates
         assert shared.per_query == unshared.per_query
+
+    @pytest.mark.parametrize("share_prefix, path", [
+        (True, "reader"), (False, "then.right/reader")])
+    def test_a_failing_stage_is_reported_at_its_own_path(self, share_prefix, path):
+        class Down(Backend):
+            def generate(self, prompts, system=""):
+                raise RuntimeError("backend down")
+
+        ret = mock_retriever({q["qid"]: [("d1", 2.0), ("d2", 1.0)] for q in TOPICS.rows})
+        down = Down()
+        # the systems share `ret % 1`, and each has two stages of its own
+        systems = [(f"k{k}", ret % 1 >> concatenate_context(fields=("query",), k_docs=k)
+                    >> reader(down)) for k in (1, 2)]
+        with pytest.raises(PipelineError) as err:
+            experiment(systems, TOPICS, GOLD, share_prefix=share_prefix)
+        assert err.value.path == path
+        assert str(err.value.cause) == "backend down"
+
+    def test_systems_headed_by_a_union_share_it(self):
+        counts = Counter()
+        tables = [{q["qid"]: [(f"d{i}", 1.0)] for q in TOPICS.rows} for i in (1, 2)]
+        r1, r2 = (counted(mock_retriever(table, name=f"r{i}"), counts, f"r{i}")
+                  for i, table in zip((1, 2), tables))
+        docs = {"d1": "Paris.", "d2": "Rome."}
+        attach = FnTransformer(Signature(SemType.R, SemType.R), "mockattach", lambda f: Frame(
+            SemType.R, [dict(r, text=docs[r["docno"]]) for r in f.rows]))
+        systems = [(f"k{k}", (r1 | r2) % 2 >> attach >> concatenate_context(k_docs=k)
+                    >> reader(StubBackend("extractive_first_sentence"))) for k in (1, 2)]
+        reports, applies = [], []
+        for share in (True, False):
+            counts.clear()
+            report = experiment(systems, TOPICS, GOLD, batch_size=2, share_prefix=share)
+            reports.append({k: v for k, v in report.to_dict().items() if k != "timing"})
+            applies.append(dict(counts))
+        assert reports[0] == reports[1]
+        assert reports[0]["aggregates"]["k1"]["EM"] == 1 / 3  # q1's gold is Paris
+        # two batches: with sharing once per batch, without once per system too
+        assert applies == [{"r1": 2, "r2": 2}, {"r1": 4, "r2": 4}]
 
     def test_backends_that_answer_differently_are_never_shared(self):
         class EchoSession:

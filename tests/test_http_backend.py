@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import threading
 import time
 import zlib
@@ -240,14 +241,20 @@ def test_retries_a_dropped_connection(server):
 
 
 def test_retries_a_timeout(server):
+    retried = threading.Event()
+
     def reply(arrival, body):
+        # the first request is held until the retry arrives, so it can only
+        # end by the client's timeout; the retry is answered at once
         if arrival == 0:
-            time.sleep(0.5)
+            retried.wait(5)
+        else:
+            retried.set()
         return 200, content("in time")
 
     delays = []
     server.reply = reply
-    backend = make_backend(server, timeout=0.1, sleeper=delays.append)
+    backend = make_backend(server, timeout=0.5, sleeper=delays.append)
     assert backend.generate(["x"]) == ["in time"]
     assert len(server.requests) == 2 and delays == [0.25]
 
@@ -292,6 +299,18 @@ def test_negative_retry_delay_is_refused_and_zero_is_not():
     with pytest.raises(BackendError):
         backend.generate(["x"])
     assert session.calls == 3 and delays == [0, 0]
+
+
+@pytest.mark.parametrize("bad", [0, -1, 0.0, math.nan, math.inf, True, "x", None])
+def test_timeout_must_be_a_positive_finite_number(bad):
+    with pytest.raises(ValueError, match="timeout must be"):
+        HttpBackend("m", base_url="http://a", session=object(), timeout=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True, "x"])
+def test_retry_delay_must_be_a_finite_number(bad):
+    with pytest.raises(ValueError, match="retry_base_delay must be a finite number"):
+        HttpBackend("m", base_url="http://a", session=object(), retry_base_delay=bad)
 
 
 # -- concurrency ---------------------------------------------------------------

@@ -129,6 +129,13 @@ class TestBM25Params:
             BM25Params(b=1.5)
         BM25Params(k1=0.0, b=0.0)
         BM25Params(b=1.0)
+        BM25Params(k1=2, b=np.float64(0.5))
+
+    @pytest.mark.parametrize("name", ["k1", "b"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1", None])
+    def test_a_value_that_is_not_a_finite_number_is_refused(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number, got"):
+            BM25Params(**{name: bad})
 
 
 class TestIndexConstruction:
