@@ -15,7 +15,10 @@ are always non-negative.
 Postings are numpy arrays in compressed sparse row (CSR) form, and retrieval
 scores eagerly over them, as in BM25S (Lu 2024): one vectorised update of a
 dense per-document accumulator per query term, then a partial sort for the
-top k.
+top k. The build inverts by sorting: one key per token, term id * n_docs +
+doc id, int32 unless n_terms * n_docs reaches 2**31 (then int64), computed
+and sorted in place in the token-id buffer; each run of equal keys is one
+posting and its length the tf.
 
 An index persists to a directory (format_version 2): the CSR arrays and the
 document lengths as .npy files, the terms, docnos and stored fields as JSON,
@@ -23,7 +26,8 @@ and manifest.json, written last, carrying the statistics, the tokenizer
 configuration and the content fingerprint. Saving writes a sibling temporary
 directory, then moves its files into the target with the manifest last, so an
 interrupted save leaves no loadable index behind; loading checks that the
-arrays agree with each other.
+arrays agree with each other, down to each doc's length being the sum of its
+tfs.
 Format 1 (JSON postings) is refused with a pointer to re-run `ragkit index`.
 """
 
@@ -356,6 +360,9 @@ class InvertedIndex:
         require(len(doc_ids) == 0 or 0 <= doc_ids.min() <= doc_ids.max() < n_docs,
                 "doc id out of range")
         require(len(tfs) == 0 or tfs.min() >= 1, "tf below 1")
+        # a doc's length is the number of its tokens, so the sum of its tfs
+        require(np.array_equal(np.bincount(doc_ids, weights=tfs, minlength=n_docs), doclens),
+                "doclens disagree with the sum of each doc's tfs")
         # doc ids ascend strictly within each posting list; a step may only
         # go down or repeat where the next list begins
         rising = np.diff(doc_ids) > 0
@@ -415,21 +422,45 @@ def index_corpus(
 
 def _csr(token_ids: array, doclens: array, n_terms: int) -> dict[str, np.ndarray]:
     """CSR postings from the term ids of all documents' tokens, concatenated
-    in document order."""
+    in document order.
+
+    Consumes `token_ids`: when the keys fit int32 they are computed and
+    sorted in its own buffer, which then holds sorted keys, not term ids.
+    Pass a buffer that nothing reads afterwards and that is never passed
+    again: index_corpus passes its own, InvertedIndex() fresh empty ones.
+    The returned doclens is a view of `doclens`."""
     lens = np.asarray(doclens, dtype=_ARRAYS["doclens"])
     n_docs = len(lens)
     # one key per token, term-major: sorting the keys groups the postings by
-    # term with doc ids ascending, and the run lengths are the tfs
-    keys = np.asarray(token_ids, dtype=np.int64) * n_docs
-    keys += np.repeat(np.arange(n_docs, dtype=np.int64), lens)
-    keys, tfs = np.unique(keys, return_counts=True)
-    terms, doc_ids = np.divmod(keys, max(n_docs, 1))
-    indptr = np.zeros(n_terms + 1, _ARRAYS["indptr"])
-    np.cumsum(np.bincount(terms, minlength=n_terms), out=indptr[1:])
+    # term with doc ids ascending, and the run lengths are the tfs; every key
+    # is below n_terms * n_docs
+    key_type = np.int32 if n_terms * n_docs < 2**31 else np.int64
+    keys = np.asarray(token_ids, dtype=key_type)  # a view of token_ids if int32
+    keys *= n_docs
+    keys += np.repeat(np.arange(n_docs, dtype=key_type), lens)
+    keys.sort()
+    # each run of equal keys is one posting; its first key gives the term
+    # and doc id, and its length the tf
+    first = np.empty(len(keys), bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    # the diff of the starts with len(keys) appended, written as int32
+    tfs = np.empty(len(starts), _ARRAYS["tfs"])
+    np.subtract(starts[1:], starts[:-1], out=tfs[:-1])
+    tfs[-1:] = len(keys) - starts[-1:]
+    keys = keys[starts]
+    del starts
+    # term t's postings start at the first key >= t * n_docs
+    bounds = np.arange(n_terms + 1, dtype=key_type)
+    bounds *= n_docs
+    indptr = np.searchsorted(keys, bounds).astype(_ARRAYS["indptr"], copy=False)
+    keys %= max(n_docs, 1)
     return {
         "indptr": indptr,
-        "doc_ids": doc_ids.astype(_ARRAYS["doc_ids"]),
-        "tfs": tfs.astype(_ARRAYS["tfs"]),
+        "doc_ids": keys.astype(_ARRAYS["doc_ids"], copy=False),
+        "tfs": tfs,
         "doclens": lens,
     }
 

@@ -221,6 +221,9 @@ class HttpBackend(Backend):
     def __post_init__(self) -> None:
         check_positive(self.concurrency, "concurrency")
         check_positive(self.max_input_chars, "max_input_chars")
+        check_finite(self.temperature, "temperature")
+        if self.temperature < 0:
+            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         check_finite(self.timeout, "timeout")
         if self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")

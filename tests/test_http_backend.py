@@ -313,6 +313,18 @@ def test_retry_delay_must_be_a_finite_number(bad):
         HttpBackend("m", base_url="http://a", session=object(), retry_base_delay=bad)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "temperature must be a finite number"),
+    (math.inf, "temperature must be a finite number"),
+    ("hot", "temperature must be a finite number"),
+    (True, "temperature must be a finite number"),
+    (-1, "temperature must be >= 0, got -1"),
+])
+def test_temperature_must_be_a_finite_number_of_at_least_zero(bad, message):
+    with pytest.raises(ValueError, match=message):
+        HttpBackend("m", base_url="http://a", session=object(), temperature=bad)
+
+
 # -- concurrency ---------------------------------------------------------------
 
 

@@ -1,13 +1,15 @@
 import json
 import math
 import re
+from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ragkit.frame
-from ragkit.datasets import run_lines
+from ragkit.datasets import load_corpus, run_lines
 from ragkit.errors import (
     DuplicateDocno,
     InvalidK,
@@ -24,6 +26,7 @@ from ragkit.index import (
     BM25Retriever,
     InvertedIndex,
     Tokenizer,
+    _csr,
     attach_text,
     bm25_retriever,
     bm25_score,
@@ -201,6 +204,66 @@ class TestIndexConstruction:
     def test_empty_corpus_is_valid(self):
         idx = index_corpus([])
         assert idx.n_docs == 0 and idx.avgdl == 0.0 and idx.n_terms == 0
+
+    def test_fixture_corpus_builds_the_same_bytes(self):
+        # any change to the build that moves one byte of the index fails here
+        corpus = Path(__file__).parent / "fixtures" / "nq_mini" / "corpus.jsonl"
+        idx = index_corpus(load_corpus(corpus))
+        assert (idx.n_docs, idx.n_terms) == (60, 208)
+        assert idx.fingerprint() == \
+            "c55643748731d98bb13db8bce7f162d748673dcc0f8f2aeff7b35a6101ee2496"
+
+
+# -- CSR build ---------------------------------------------------------------------
+
+
+def oracle_csr(token_ids, doclens, n_terms):
+    """The CSR arrays through int64 keys, np.unique and np.divmod."""
+    lens = np.asarray(doclens, dtype=np.int32)
+    n_docs = len(lens)
+    keys = np.asarray(token_ids, dtype=np.int64) * n_docs
+    keys += np.repeat(np.arange(n_docs, dtype=np.int64), lens)
+    keys, tfs = np.unique(keys, return_counts=True)
+    terms, doc_ids = np.divmod(keys, max(n_docs, 1))
+    indptr = np.zeros(n_terms + 1, np.int64)
+    np.cumsum(np.bincount(terms, minlength=n_terms), out=indptr[1:])
+    return {"indptr": indptr, "doc_ids": doc_ids.astype(np.int32),
+            "tfs": tfs.astype(np.int32), "doclens": lens}
+
+
+@st.composite
+def _token_streams(draw):
+    """(token term ids in document order, doclens, n_terms). The int32 key
+    limit n_terms * n_docs < 2**31 is reached with many empty documents,
+    and some tokens sit at the largest term and doc ids."""
+    n_terms = draw(st.sampled_from([0, 1, 3, 40, 2**15]))
+    n_docs = draw(st.sampled_from([0, 1, 2, 7, 2**16 - 1, 2**16]))
+    tokens = []
+    if n_terms and n_docs:
+        def ids(n):
+            # low ids repeat, so tfs above 1 are common; n - 1 is the largest
+            return st.integers(0, min(n, 3) - 1) | st.just(n - 1) | st.integers(0, n - 1)
+        tokens = draw(st.lists(st.tuples(ids(n_docs), ids(n_terms)), max_size=40))
+    # documents in doc id order; a document's tokens keep their drawn order
+    tokens.sort(key=lambda t: t[0])
+    doclens = np.bincount([d for d, _ in tokens], minlength=n_docs)
+    return [t for _, t in tokens], doclens.tolist(), n_terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(_token_streams())
+@example(([], [], 0))                          # empty corpus
+@example(([0, 0, 2, 1], [4], 3))               # one document
+@example(([2**15 - 1, 0, 2**15 - 1], [1] + [0] * (2**16 - 3) + [2], 2**15))  # int32 keys
+@example(([2**15 - 1, 0, 2**15 - 1], [1] + [0] * (2**16 - 2) + [2], 2**15))  # int64 keys
+def test_csr_equals_the_unique_divmod_oracle(stream):
+    token_ids, doclens, n_terms = stream
+    # _csr consumes its token buffer, so each call gets fresh ones
+    got = _csr(array("i", token_ids), array("i", doclens), n_terms)
+    want = oracle_csr(array("i", token_ids), array("i", doclens), n_terms)
+    assert list(got) == list(want)
+    for name, a in got.items():
+        assert a.dtype == want[name].dtype and a.tobytes() == want[name].tobytes(), name
 
 
 class TestScoring:
@@ -720,6 +783,23 @@ class TestPersistence:
         path = tmp_path / "idx" / f"{name}.npy"
         np.save(path, damage(np.load(path)))
         with pytest.raises(ParseError, match="corrupt index"):
+            InvertedIndex.load(tmp_path / "idx")
+
+    @pytest.mark.parametrize("name, pos, delta", [
+        # d2's length 6 becomes -3, which would score d2 below zero and
+        # break the retriever's rule that nonzero entries are the matches
+        ("doclens", 1, -9),
+        # one more occurrence of "the" in d1 than d1's length allows
+        ("tfs", 0, 1),
+    ])
+    def test_load_refuses_doclens_that_disagree_with_the_tfs(
+            self, small_index, tmp_path, name, pos, delta):
+        small_index.save(tmp_path / "idx")
+        path = tmp_path / "idx" / f"{name}.npy"
+        damaged = np.load(path)
+        damaged[pos] += delta
+        np.save(path, damaged)
+        with pytest.raises(ParseError, match="doclens disagree with the sum of each doc's tfs"):
             InvertedIndex.load(tmp_path / "idx")
 
     @pytest.mark.parametrize("name, damage", [
