@@ -20,19 +20,25 @@ doc id, int32 unless n_terms * n_docs reaches 2**31 (then int64), computed
 and sorted in place in the token-id buffer; each run of equal keys is one
 posting and its length the tf.
 
-An index persists to a directory (format_version 2): the CSR arrays and the
-document lengths as .npy files, the terms, docnos and stored fields as JSON,
-and manifest.json, written last, carrying the statistics, the tokenizer
-configuration and the content fingerprint. Saving writes a sibling temporary
-directory, then moves its files into the target with the manifest last, so an
-interrupted save leaves no loadable index behind; loading checks that the
-arrays agree with each other, down to each doc's length being the sum of its
-tfs.
-Format 1 (JSON postings) is refused with a pointer to re-run `ragkit index`.
+An index persists to a directory (format_version 3): the CSR arrays and the
+document lengths as .npy files, the terms and docnos as JSON, each stored
+field as one UTF-8 blob of its values plus their int64 offsets, and
+manifest.json, written last, carrying the statistics, the tokenizer
+configuration and the content fingerprint: the sha256 of that configuration
+and of every file's content. Saving writes a sibling temporary directory,
+then moves its files into the target with the manifest last, so an
+interrupted save leaves no loadable index behind. Loading reads each file
+once, checks that the files agree with each other, down to each doc's length
+being the sum of its tfs and each stored value being UTF-8, and then that
+they hash to the manifest's fingerprint, so an index damaged after it was
+saved is refused instead of comparing equal to the original.
+Formats 1 (JSON postings) and 2 (JSON stored fields) are refused with a
+pointer to re-run `ragkit index`.
 """
 
 from __future__ import annotations
 
+import codecs
 import copy
 import hashlib
 import json
@@ -68,16 +74,71 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _ASCII_SEPARATORS = str.maketrans(
     {c: " " for c in map(chr, range(128)) if not (c.isalnum() or c.isspace())})
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST = "manifest.json"
-_JSON_PARTS = ("terms", "docnos", "stored")
+_JSON_PARTS = ("terms", "docnos")
 # persisted arrays and their on-disk dtypes
 _ARRAYS = {"indptr": "<i8", "doc_ids": "<i4", "tfs": "<i4", "doclens": "<i4"}
-# format 1 files that format 2 does not write; save() deletes them
-_V1_FILES = ("postings.json", "doclens.json")
-# the only entries save() accepts in a directory it replaces
-_INDEX_FILES = frozenset((MANIFEST, *_V1_FILES, *(f"{n}.json" for n in _JSON_PARTS),
+# dtype of a stored field's offsets, stored_<i>.npy
+_OFFSETS = "<i8"
+# files of formats 1 and 2 that format 3 does not write; save() deletes them
+_OLD_FILES = ("postings.json", "doclens.json", "stored.json")
+# the only entries save() accepts in a directory it replaces: these, and a
+# stored field's files, named by the field's position, never by its name
+_INDEX_FILES = frozenset((MANIFEST, *_OLD_FILES, *(f"{n}.json" for n in _JSON_PARTS),
                           *(f"{n}.npy" for n in _ARRAYS)))
+_STORED_FILE = re.compile(r"stored_[0-9]+\.(bin|npy)")
+# what np.save writes first (format 1.0): magic, version, header length, then
+# the header, a dict literal padded with spaces and ending in a newline
+_NPY_HEADER = re.compile(rb"\x93NUMPY\x01\x00..\{'descr': '([^']*)', 'fortran_order': False, "
+                         rb"'shape': \(([0-9, ]*)\), \} *\n", re.DOTALL)
+
+
+def _is_index_file(name: str) -> bool:
+    return name in _INDEX_FILES or _STORED_FILE.fullmatch(name) is not None
+
+
+def _file_names(n_stored: int) -> list[str]:
+    """The files of an index with `n_stored` stored fields, manifest aside,
+    in the order its fingerprint hashes them."""
+    return [*(f"{n}.json" for n in _JSON_PARTS),
+            *(f"stored_{i}.{ext}" for i in range(n_stored) for ext in ("bin", "npy")),
+            *(f"{n}.npy" for n in _ARRAYS)]
+
+
+def _read_npy(data: bytes) -> np.ndarray:
+    """The array in .npy bytes laid out as np.save writes a C-order array,
+    as a read-only view of those bytes; ValueError if they hold none. The
+    header is matched here, not parsed by numpy, which would retry (and
+    warn about) one it cannot parse as a header written by Python 2."""
+    m = _NPY_HEADER.match(data)
+    if m is None:
+        raise ValueError("not an .npy file as np.save writes one")
+    try:
+        dtype = np.dtype(m[1].decode())
+    except TypeError:
+        raise ValueError(f"unknown .npy dtype {m[1]!r}") from None
+    shape = tuple(int(n) for n in m[2].split(b",") if n.strip())
+    # reshape refuses data that holds more or fewer values than the shape
+    return np.frombuffer(data, dtype, offset=m.end()).reshape(shape)
+
+
+def _is_utf8(blob: bytes, offsets: np.ndarray) -> bool:
+    """Whether `blob` is UTF-8 and each of `offsets` (all within the blob)
+    starts a character or ends the blob, so every value decodes on its own.
+    Decodes in 1 MiB steps, so no copy of the whole blob is made."""
+    starts = offsets[offsets < len(blob)]
+    if np.any((np.frombuffer(blob, np.uint8)[starts] & 0xC0) == 0x80):
+        return False  # a continuation byte
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    view, step = memoryview(blob), 1 << 20
+    try:
+        for i in range(0, len(view), step):
+            decode(view[i:i + step])
+        decode(b"", final=True)
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -133,27 +194,34 @@ class InvertedIndex:
     Postings are CSR arrays: term t (its position in the term list) has the
     postings doc_ids[indptr[t]:indptr[t + 1]] (int32, ascending) with the
     matching tfs, and postings() returns those slices as array views. Doc
-    ids are dense 0..N-1 in ingestion order.
+    ids are dense 0..N-1 in ingestion order. Each stored field is one blob
+    of its values' UTF-8 bytes, concatenated in doc id order, with n_docs + 1
+    offsets: doc i's value is blob[offsets[i]:offsets[i + 1]].
     """
 
     def __init__(self, tokenizer: Tokenizer | None = None,
                  stored_fields: Sequence[str] = ("text",)) -> None:
-        self._set(tokenizer or Tokenizer(), stored_fields, [], [], [],
+        fields = str_tuple(stored_fields, "stored_fields")
+        self._set(tokenizer or Tokenizer(), fields, [], [],
+                  [(b"", array("q", [0])) for _ in fields],
                   _csr(array("i"), array("i"), 0))
 
     def _set(self, tokenizer: Tokenizer, stored_fields: Sequence[str], terms: list[str],
-             docnos: list[str], stored: list[dict], arrays: dict[str, np.ndarray],
-             fingerprint: str | None = None) -> InvertedIndex:
-        """Set every attribute of the index; returns it. load() and
-        index_corpus() call this once on an instance that skipped __init__,
-        so they never build the empty index first."""
+             docnos: list[str], stored: list[tuple[bytes | bytearray, array]],
+             arrays: dict[str, np.ndarray]) -> InvertedIndex:
+        """Set every attribute of the index; returns it. `stored` holds each
+        stored field's blob and offsets (int64). load() and index_corpus()
+        call this once on an instance that skipped __init__, so they never
+        build the empty index first."""
         self.tokenizer = tokenizer
         self.stored_fields = str_tuple(stored_fields, "stored_fields")
         self._terms = terms
         self._term_ids = {t: i for i, t in enumerate(terms)}
         self._docnos = docnos
         self._ids = {d: i for i, d in enumerate(docnos)}
-        self._stored = stored
+        # (field, blob, offsets); stored() reads offsets as Python ints
+        self._stored = [(f, blob, offsets)
+                        for f, (blob, offsets) in zip(self.stored_fields, stored)]
         self._indptr = arrays["indptr"]
         self._doc_ids = arrays["doc_ids"]
         self._tfs = arrays["tfs"]
@@ -165,7 +233,7 @@ class InvertedIndex:
         # position of each doc in bytewise docno order, the retriever's tie-break
         self._docno_rank = np.empty(n, np.int64)
         self._docno_rank[sorted(range(n), key=docnos.__getitem__)] = np.arange(n)
-        self._fingerprint = fingerprint
+        self._fingerprint: str | None = None
         return self
 
     # -- statistics -------------------------------------------------------
@@ -212,7 +280,21 @@ class InvertedIndex:
         return docno in self._ids
 
     def stored(self, doc_id: int) -> dict[str, str]:
-        return self._stored[doc_id]
+        """The stored fields of one doc; a fresh dict per call."""
+        if doc_id < 0:  # offsets[-1] is the blob's end, not a doc's start
+            raise IndexError(f"doc id {doc_id} is negative")
+        out = {}
+        for field, blob, offsets in self._stored:
+            out[field] = blob[offsets[doc_id]:offsets[doc_id + 1]].decode()
+        return out
+
+    def _column(self, field: str, doc_ids: list[int]) -> list[str]:
+        """Stored `field` of each doc in `doc_ids`; "" throughout if the
+        field is not stored."""
+        for f, blob, offsets in self._stored:
+            if f == field:
+                return [blob[offsets[i]:offsets[i + 1]].decode() for i in doc_ids]
+        return [""] * len(doc_ids)
 
     # -- identity for structural pipeline equality --------------------------
 
@@ -222,20 +304,29 @@ class InvertedIndex:
             "stored_fields": list(self.stored_fields),
         }
 
-    def _parts(self) -> dict[str, bytes | np.ndarray]:
-        """The persisted content: JSON text per metadata part, then the
-        arrays. Saving writes these and fingerprint() hashes them."""
-        parts: dict[str, bytes | np.ndarray] = {
-            name: json.dumps(getattr(self, f"_{name}")).encode() for name in _JSON_PARTS
+    def _parts(self) -> dict[str, bytes | bytearray | np.ndarray]:
+        """The persisted content by file name, in _file_names' order: JSON
+        text, each stored field's blob and offsets, then the arrays. Saving
+        writes these and fingerprint() hashes them; nothing is copied but
+        the JSON text."""
+        parts: dict[str, bytes | bytearray | np.ndarray] = {
+            f"{name}.json": json.dumps(getattr(self, f"_{name}")).encode()
+            for name in _JSON_PARTS
         }
-        parts.update((name, getattr(self, f"_{name}")) for name in _ARRAYS)
+        for i, (_, blob, offsets) in enumerate(self._stored):
+            parts[f"stored_{i}.bin"] = blob
+            parts[f"stored_{i}.npy"] = np.frombuffer(offsets, np.int64).astype(
+                _OFFSETS, copy=False)
+        parts.update((f"{name}.npy", getattr(self, f"_{name}")) for name in _ARRAYS)
         return parts
 
-    def _digest(self, parts: dict[str, bytes | np.ndarray]) -> str:
+    def _digest(self, parts: dict[str, bytes | bytearray | np.ndarray]) -> str:
+        """sha256 of the configuration, then of each file's name, size and
+        content; for a .npy file its data, not its header."""
         h = hashlib.sha256(json.dumps(self._config(), sort_keys=True).encode())
         for name, data in parts.items():
             view = memoryview(data)
-            h.update(f"\n{name} {_ARRAYS.get(name, 'json')} {view.nbytes}\n".encode())
+            h.update(f"\n{name} {view.nbytes}\n".encode())
             h.update(view)
         return h.hexdigest()
 
@@ -250,7 +341,7 @@ class InvertedIndex:
     def fingerprint(self) -> str:
         """Content hash; two indexes over identical corpora and configs get
         the same fingerprint, so retrievers built on them compare equal. A
-        loaded index reads it from its manifest instead of re-hashing."""
+        loaded index has it from hashing the bytes it read."""
         if self._fingerprint is None:
             self._fingerprint = self._digest(self._parts())
         return self._fingerprint
@@ -271,7 +362,7 @@ class InvertedIndex:
             if not target.is_dir():
                 raise FileExistsError(f"{target} exists and is not a directory")
             foreign = sorted(p.name for p in target.iterdir()
-                             if p.name not in _INDEX_FILES or not p.is_file())
+                             if not (_is_index_file(p.name) and p.is_file()))
             if foreign:
                 raise FileExistsError(
                     f"{target} holds files that are not part of an index: "
@@ -292,14 +383,17 @@ class InvertedIndex:
                                     dir=target.parent))
         try:
             for name, data in parts.items():
-                if isinstance(data, bytes):
-                    (tmp / f"{name}.json").write_bytes(data)
+                if name.endswith(".npy"):
+                    np.save(tmp / name, data, allow_pickle=False)
                 else:
-                    np.save(tmp / f"{name}.npy", data, allow_pickle=False)
+                    (tmp / name).write_bytes(data)
             (tmp / MANIFEST).write_text(json.dumps(manifest, indent=2))
             target.mkdir(exist_ok=True)
-            for name in (MANIFEST, *_V1_FILES):
-                (target / name).unlink(missing_ok=True)
+            (target / MANIFEST).unlink(missing_ok=True)
+            # files of an earlier format, or of stored fields this index lacks
+            for path in target.iterdir():
+                if path.name not in parts and _is_index_file(path.name):
+                    path.unlink()
             for path in sorted(tmp.iterdir(), key=lambda p: p.name == MANIFEST):
                 os.replace(path, target / path.name)
         finally:
@@ -308,7 +402,12 @@ class InvertedIndex:
     @classmethod
     def load(cls, directory: str | Path) -> "InvertedIndex":
         """Read an index saved by save(); ParseError if it is not one, is
-        format 1, or its files disagree with each other or themselves."""
+        format 1 or 2, or its files disagree with each other, with themselves
+        or with the manifest's fingerprint.
+
+        Each file is read once. The arrays are views of the bytes read, and
+        the fingerprint is the hash of those bytes, checked after every
+        structural check has passed."""
         d = Path(directory)
         manifest_path = d / MANIFEST
         if not manifest_path.is_file():
@@ -318,9 +417,10 @@ class InvertedIndex:
             version = manifest.get("format_version")
         except (ValueError, AttributeError):
             raise ParseError(f"unreadable index manifest: {manifest_path}") from None
-        if version == 1:
+        if version in (1, 2):
+            layout = "JSON postings" if version == 1 else "JSON stored fields"
             raise ParseError(
-                f"index format_version 1 (JSON postings) in {manifest_path} is no "
+                f"index format_version {version} ({layout}) in {manifest_path} is no "
                 f"longer supported; re-run `ragkit index` to rebuild it as "
                 f"format_version {FORMAT_VERSION}"
             )
@@ -328,35 +428,42 @@ class InvertedIndex:
             raise ParseError(
                 f"unsupported index format_version {version!r} in {manifest_path}"
             )
-        try:
-            meta = {name: json.loads((d / f"{name}.json").read_text())
-                    for name in _JSON_PARTS}
-            arrays = {name: np.load(d / f"{name}.npy", allow_pickle=False)
-                      for name in _ARRAYS}
-        except (OSError, ValueError, EOFError) as exc:
-            raise ParseError(f"unreadable index file in {d}: {exc}") from None
 
         def require(ok, what: str) -> None:
             if not ok:
                 raise ParseError(f"corrupt index in {d}: {what}")
 
-        require(all(isinstance(v, list) for v in meta.values()), "JSON part is not a list")
-        terms, docnos, stored = meta.values()
+        stopwords = manifest.get("stopwords", [])
+        stored_fields = manifest.get("stored_fields", ["text"])
+        require(all(type(v) is list and set(map(type, v)) <= {str}
+                    for v in (stopwords, stored_fields)),
+                "stopwords or stored_fields is not a list of str")
+        try:
+            parts = {name: (d / name).read_bytes() for name in _file_names(len(stored_fields))}
+            for name, data in parts.items():
+                if name.endswith(".npy"):
+                    parts[name] = _read_npy(data)
+            terms, docnos = (json.loads(parts[f"{name}.json"]) for name in _JSON_PARTS)
+        except (OSError, ValueError) as exc:
+            raise ParseError(f"unreadable index file in {d}: {exc}") from None
+
+        require(isinstance(terms, list) and isinstance(docnos, list), "JSON part is not a list")
         require(set(map(type, chain(terms, docnos))) <= {str}, "term or docno is not a str")
-        require(all(type(s) is dict and type(s.get("text", "")) is str for s in stored),
-                "stored entry is not a JSON object with a str text")
         n_terms, n_docs = len(terms), len(docnos)
+        arrays = {name: parts[f"{name}.npy"] for name in _ARRAYS}
+        stored = [(parts[f"stored_{i}.bin"], parts[f"stored_{i}.npy"])
+                  for i in range(len(stored_fields))]
         indptr, doc_ids, tfs, doclens = arrays.values()
-        require(all(a.ndim == 1 and a.dtype == _ARRAYS[name]
-                    for name, a in arrays.items()), "array of the wrong shape or dtype")
+        require(all(a.ndim == 1 and a.dtype == _ARRAYS[name] for name, a in arrays.items())
+                and all(o.ndim == 1 and o.dtype == _OFFSETS for _, o in stored),
+                "array of the wrong shape or dtype")
         require(manifest.get("n_terms") == n_terms and manifest.get("n_docs") == n_docs,
                 "manifest counts disagree with terms.json or docnos.json")
         require(len(indptr) == n_terms + 1, "len(indptr) != n_terms + 1")
         require(indptr[0] == 0 and indptr[-1] == len(doc_ids) == len(tfs)
                 and np.all(indptr[1:] >= indptr[:-1]),
                 "indptr does not span doc_ids and tfs")
-        require(len(doclens) == n_docs == len(stored),
-                "doclens or stored fields disagree with n_docs")
+        require(len(doclens) == n_docs, "doclens disagree with n_docs")
         require(len(doc_ids) == 0 or 0 <= doc_ids.min() <= doc_ids.max() < n_docs,
                 "doc id out of range")
         require(len(tfs) == 0 or tfs.min() >= 1, "tf below 1")
@@ -369,16 +476,20 @@ class InvertedIndex:
         starts = indptr[1:-1]
         rising[starts[(starts > 0) & (starts < len(doc_ids))] - 1] = True
         require(rising.all(), "doc ids not strictly ascending within a posting list")
-        require(isinstance(manifest.get("fingerprint"), str), "no fingerprint")
-        stopwords = manifest.get("stopwords", [])
-        stored_fields = manifest.get("stored_fields", ["text"])
-        require(all(type(v) is list and set(map(type, v)) <= {str}
-                    for v in (stopwords, stored_fields)),
-                "stopwords or stored_fields is not a list of str")
+        columns = []
+        for blob, offsets in stored:
+            require(len(offsets) == n_docs + 1 and offsets[0] == 0
+                    and offsets[-1] == len(blob) and np.all(offsets[1:] >= offsets[:-1]),
+                    "stored field offsets do not span their blob")
+            require(_is_utf8(blob, offsets), "stored field is not UTF-8 cut at characters")
+            columns.append((blob, array("q", offsets.astype("=i8").tobytes())))
         idx = cls.__new__(cls)._set(Tokenizer(stopwords), stored_fields,
-                                    terms, docnos, stored, arrays, manifest["fingerprint"])
+                                    terms, docnos, columns, arrays)
         require(len(idx._term_ids) == n_terms and len(idx._ids) == n_docs,
                 "repeated term or docno")
+        idx._fingerprint = idx._digest(parts)
+        require(idx._fingerprint == manifest.get("fingerprint"),
+                "its files do not hash to the manifest's fingerprint")
         return idx
 
 
@@ -390,8 +501,9 @@ def index_corpus(
     """Build an index from a document row stream in one pass.
 
     Each row needs docno and text; requested fields are stored verbatim for
-    later re-attachment (absent optional fields store as empty strings).
-    An empty stream yields an empty, still-valid index.
+    later re-attachment (absent optional fields store as empty strings). A
+    stored value must encode as UTF-8: a lone surrogate is refused
+    (ValueError). An empty stream yields an empty, still-valid index.
     """
     tokenizer = tokenizer or Tokenizer()
     tokenize, fields = tokenizer.tokenize, str_tuple(fields_to_store, "fields_to_store")
@@ -400,7 +512,9 @@ def index_corpus(
     token_ids, doclens = array("i"), array("i")
     docnos: list[str] = []
     seen: set[str] = set()
-    stored: list[dict[str, str]] = []
+    # each stored field's blob and offsets, grown in place, never joined
+    stored = [(bytearray(), array("q", [0])) for _ in fields]
+    columns = [(f, blob, offsets) for f, (blob, offsets) in zip(fields, stored)]
     for row in docs:
         if "docno" not in row:
             raise MissingField("docno", "corpus document")
@@ -414,7 +528,13 @@ def index_corpus(
         tokens = tokenize(str(row["text"]))
         doclens.append(len(tokens))
         token_ids.extend(map(term_ids.__getitem__, tokens))
-        stored.append({f: str(row.get(f, "")) for f in fields})
+        for f, blob, offsets in columns:
+            try:
+                blob += str(row.get(f, "")).encode()
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"stored field {f!r} of corpus document {docno!r} "
+                                 f"is not UTF-8 encodable: {exc}") from None
+            offsets.append(len(blob))
     return InvertedIndex.__new__(InvertedIndex)._set(
         tokenizer, fields, list(term_ids), docnos, stored,
         _csr(token_ids, doclens, len(term_ids)))
@@ -565,10 +685,7 @@ class BM25Retriever(Transformer):
                 acc[doc_ids] += idf * (tfs * (k1 + 1.0)) / (tfs + norm[doc_ids])
             doc_ids, scores = self._top(acc)
             ids = doc_ids.tolist()
-            fields = ()
-            if self.include_fields:
-                stored = list(map(idx.stored, ids))
-                fields = tuple((f, [s.get(f, "") for s in stored]) for f in self.include_fields)
+            fields = tuple((f, idx._column(f, ids)) for f in self.include_fields)
             segments.append(
                 _Segment(row["qid"], row["query"], list(map(docno, ids)), scores, fields))
         # the rows are built only if something reads them
@@ -592,13 +709,13 @@ class TextAttacher(Transformer):
         self.fields = str_tuple(self.fields, "fields")
 
     def apply(self, frame: Frame) -> Frame:
-        rows = []
-        for row in frame.rows:
-            stored = self.index.stored(self.index.doc_id(row["docno"]))
-            merged = dict(row)
-            for f in self.fields:
-                merged[f] = stored.get(f, "")
-            rows.append(merged)
+        idx = self.index
+        ids = [idx.doc_id(row["docno"]) for row in frame.rows]
+        rows = [dict(row) for row in frame.rows]
+        # only the requested fields are decoded
+        for f in self.fields:
+            for row, value in zip(rows, idx._column(f, ids)):
+                row[f] = value
         # fresh dicts that nothing else holds: the frame takes them uncopied
         return Frame._owning(SemType.R, rows)
 

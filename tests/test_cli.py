@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,24 @@ class TestSearchCommand:
         rc = main(["search", "--index", str(tmp_path), "--query", "x"])
         assert rc == 1
         assert "ragkit index" in capsys.readouterr().err
+
+    def test_format_2_index_asks_for_a_rebuild(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text('{"format_version": 2}')
+        (tmp_path / "stored.json").write_text("[]")
+        rc = main(["search", "--index", str(tmp_path), "--query", "x"])
+        assert rc == 1
+        assert "format_version 2" in capsys.readouterr().err
+
+    def test_a_flipped_stored_byte_is_refused(self, index_dir, tmp_path, capsys):
+        damaged = tmp_path / "damaged"
+        shutil.copytree(index_dir, damaged)
+        blob = bytearray((damaged / "stored_0.bin").read_bytes())
+        blob[0] ^= 1
+        (damaged / "stored_0.bin").write_bytes(bytes(blob))
+        rc = main(["search", "--index", str(damaged), "--query", "paris"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "corrupt index" in captured.err
 
 
 class TestAskCommand:

@@ -94,6 +94,10 @@ class TestExactMatchAndF1:
         assert f1("the", ["a"]) == 1.0
         assert exact_match("the", ["a"]) == 1.0
 
+    def test_f1_of_an_empty_prediction_against_a_nonempty_gold(self):
+        assert f1("", ["paris"]) == 0.0
+        assert f1("the", ["paris"]) == 0.0
+
     def test_empty_gold_list_rejected(self):
         with pytest.raises(EmptyGold):
             exact_match("x", [])
@@ -353,6 +357,16 @@ class TestExperiment:
         assert set(report.significance) == {"a"}
         expected = paired_ttest([1.0, 1.0, 1.0], [1.0, 0.0, 0.0])
         assert report.significance["a"]["EM"] == pytest.approx(expected)
+
+    def test_two_topics_are_enough_for_the_t_tests(self):
+        topics = Frame(SemType.Q, TOPICS.rows[:2])
+        base = make_system({"q1": "paris", "q2": "x"}, "base")
+        sys_a = make_system({"q1": "paris", "q2": "tokyo"}, "a")
+        report = experiment([("base", base), ("a", sys_a)], topics, GOLD, baseline="base")
+        assert report.significance["a"]["EM"] == paired_ttest([1.0, 1.0], [1.0, 0.0])
+        one = experiment([("base", base), ("a", sys_a)], Frame(SemType.Q, TOPICS.rows[:1]),
+                         GOLD, baseline="base")
+        assert one.significance == {}
 
     def test_baseline_by_index(self):
         s1 = make_system({"q1": "paris"}, "s1")

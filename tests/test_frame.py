@@ -31,6 +31,9 @@ def test_frame_equality_and_repr():
     c = Frame(SemType.A, [{"qid": "q1", "qanswer": "x"}])
     assert a == b
     assert a != c
+    # same type, different rows
+    assert a != Frame(SemType.Q, [{"qid": "q1", "query": "y"}])
+    assert a != Frame(SemType.Q, [{"qid": "q1", "query": "x"}, {"qid": "q2", "query": "x"}])
     assert "Q" in repr(a)
     assert repr(terminal_frame()) == "Frame(Terminal, 0 rows)"
 

@@ -353,7 +353,8 @@ def _segment_payloads(draw):
         if name == "nan score":
             seg[3] = seg[3].astype(np.float64)
             seg[3][i] = float("nan")
-        elif name == "rising score" and i:
+        elif name == "rising score" and i and seg[3][i - 1] is not None:
+            # after "None score" the score before may be None, with nothing to exceed
             seg[3][i] = seg[3][i - 1] + 1.0 if seg[3][i - 1] < 1e300 else float("inf")
         elif name == "repeated docno" and i:
             seg[2][i] = seg[2][0]

@@ -190,6 +190,24 @@ def test_gives_up_after_max_retries(server):
     assert delays == [0.25, 0.5, 1.0]
 
 
+def test_http_500_is_retried_like_429(server):
+    delays = []
+    server.set_responses((500, {"error": "internal"}), (200, content("ok")))
+    backend = make_backend(server, sleeper=delays.append)
+    assert backend.generate(["x"]) == ["ok"]
+    assert len(server.requests) == 2 and delays == [0.25]
+
+
+def test_max_retries_zero_makes_one_attempt_and_never_sleeps(server):
+    delays = []
+    server.set_responses((429, {"error": "no"}), (200, content("too late")))
+    backend = make_backend(server, max_retries=0, sleeper=delays.append)
+    with pytest.raises(BackendError) as err:
+        backend.generate(["x"])
+    assert err.value.status == 429
+    assert len(server.requests) == 1 and delays == []
+
+
 def test_client_errors_fail_immediately(server):
     delays = []
     server.set_responses((400, {"error": "bad request"}))

@@ -1,6 +1,10 @@
+import hashlib
 import json
 import math
+import os
 import re
+import shutil
+import tempfile
 from array import array
 from pathlib import Path
 
@@ -22,11 +26,14 @@ from ragkit.exprs import print_expr
 from ragkit.frame import Frame, SemType
 from ragkit.index import (
     FORMAT_VERSION,
+    MANIFEST,
     BM25Params,
     BM25Retriever,
+    Indexer,
     InvertedIndex,
     Tokenizer,
     _csr,
+    _file_names,
     attach_text,
     bm25_retriever,
     bm25_score,
@@ -173,6 +180,33 @@ class TestIndexConstruction:
                            fields_to_store=("text", "title"))
         assert idx.stored(0) == {"text": "x", "title": ""}
 
+    def test_stored_values_survive_save_and_load(self, tmp_path):
+        docs = [{"docno": "a", "text": "naïve café — 東京 😀", "title": ""},
+                {"docno": "b", "text": "", "title": "x\n\u2028y"},
+                {"docno": "c", "text": "plain"}]
+        idx = index_corpus(docs, fields_to_store=("title", "text"))
+        idx.save(tmp_path / "idx")
+        loaded = InvertedIndex.load(tmp_path / "idx")
+        want = [{"title": d.get("title", ""), "text": d["text"]} for d in docs]
+        assert [idx.stored(i) for i in range(3)] == [loaded.stored(i) for i in range(3)] == want
+        q = Frame(SemType.Q, [{"qid": "q", "query": "café plain 東京"}])
+        fields = ("text", "title", "absent")
+        out = run(BM25Retriever(loaded, include_fields=fields), q)
+        assert out == run(BM25Retriever(idx, include_fields=fields), q)
+        assert [(r["docno"], r["text"], r["absent"]) for r in out.rows] == \
+            [("a", docs[0]["text"], ""), ("c", "plain", "")]
+
+    def test_stored_refuses_a_doc_id_outside_the_index(self, small_index):
+        for doc_id in (-1, -2, small_index.n_docs):
+            with pytest.raises(IndexError):
+                small_index.stored(doc_id)
+
+    def test_a_stored_value_that_is_not_utf8_encodable_is_refused(self):
+        with pytest.raises(ValueError, match="'title' of corpus document 'd2'"):
+            index_corpus([{"docno": "d1", "text": "a"}, {"docno": "d2", "text": "b",
+                                                          "title": "\ud800"}],
+                         fields_to_store=("text", "title"))
+
     def test_duplicate_docno_rejected(self):
         with pytest.raises(DuplicateDocno):
             index_corpus([{"docno": "d", "text": "a"}, {"docno": "d", "text": "b"}])
@@ -211,7 +245,7 @@ class TestIndexConstruction:
         idx = index_corpus(load_corpus(corpus))
         assert (idx.n_docs, idx.n_terms) == (60, 208)
         assert idx.fingerprint() == \
-            "c55643748731d98bb13db8bce7f162d748673dcc0f8f2aeff7b35a6101ee2496"
+            "77f490b381cadb30b722b54827b7d83c4d05364017614cb643dad35b4fa74793"
 
 
 # -- CSR build ---------------------------------------------------------------------
@@ -598,6 +632,25 @@ class TestCutoffPushdown:
         assert outputs() == cut
 
 
+def resign(directory):
+    """Set the manifest's fingerprint to the hash of the files as they are
+    now, as load computes it, so that only load's structural checks stand
+    between damaged files and a loaded index."""
+    manifest = json.loads((directory / MANIFEST).read_text())
+    config = {k: manifest[k] for k in ("stopwords", "stored_fields")}
+    h = hashlib.sha256(json.dumps(config, sort_keys=True).encode())
+    for name in _file_names(len(manifest["stored_fields"])):
+        path = directory / name
+        data = np.load(path).tobytes() if name.endswith(".npy") else path.read_bytes()
+        h.update(f"\n{name} {len(data)}\n".encode())
+        h.update(data)
+    manifest["fingerprint"] = h.hexdigest()
+    (directory / MANIFEST).write_text(json.dumps(manifest))
+
+
+NQ_MINI = Path(__file__).parent / "fixtures" / "nq_mini" / "corpus.jsonl"
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, small_index, tmp_path):
         small_index.save(tmp_path / "idx")
@@ -686,13 +739,15 @@ class TestPersistence:
             small_index.save(tmp_path / "notes")
         assert (tmp_path / "notes" / "keep.txt").read_text() == "mine"
 
-    @pytest.mark.parametrize("version", [1, FORMAT_VERSION])
+    @pytest.mark.parametrize("version", [1, 2, FORMAT_VERSION])
     def test_save_refuses_an_index_directory_holding_other_files(
             self, small_index, tmp_path, version):
         small_index.save(tmp_path / "data")
-        if version == 1:
-            (tmp_path / "data" / "postings.json").write_text("{}")
-            (tmp_path / "data" / "manifest.json").write_text('{"format_version": 1}')
+        if version != FORMAT_VERSION:
+            old_file = "postings.json" if version == 1 else "stored.json"
+            (tmp_path / "data" / old_file).write_text("[]")
+            (tmp_path / "data" / "manifest.json").write_text(
+                json.dumps({"format_version": version}))
         (tmp_path / "data" / "corpus.jsonl").write_text("mine")
         before = sorted(p.name for p in (tmp_path / "data").iterdir())
         with pytest.raises(FileExistsError, match="corpus.jsonl"):
@@ -709,6 +764,53 @@ class TestPersistence:
         assert InvertedIndex.load(tmp_path / "idx").fingerprint() == small_index.fingerprint()
         assert not (tmp_path / "idx" / "postings.json").exists()
         assert not (tmp_path / "idx" / "doclens.json").exists()
+
+    def test_save_replaces_a_format_2_index_and_its_stored_json(self, small_index, tmp_path):
+        (tmp_path / "idx").mkdir()
+        for name in ("terms.json", "docnos.json", "stored.json"):
+            (tmp_path / "idx" / name).write_text("[]")
+        (tmp_path / "idx" / "manifest.json").write_text('{"format_version": 2}')
+        with pytest.raises(ParseError, match="format_version 2.*re-run `ragkit index`"):
+            InvertedIndex.load(tmp_path / "idx")
+        small_index.save(tmp_path / "idx")
+        assert InvertedIndex.load(tmp_path / "idx") == small_index
+        assert not (tmp_path / "idx" / "stored.json").exists()
+
+    def test_save_deletes_the_files_of_stored_fields_it_replaces(self, small_index, tmp_path):
+        small_index.save(tmp_path / "idx")
+        narrow = index_corpus([{"docno": "x", "text": "other"}])
+        narrow.save(tmp_path / "idx")
+        assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == \
+            sorted([MANIFEST, *_file_names(1)])
+        assert InvertedIndex.load(tmp_path / "idx") == narrow
+
+    def test_stored_field_names_never_become_file_names(self, tmp_path):
+        idx = index_corpus([{"docno": "d", "text": "x", "../up": "y", "a/b": "z"}],
+                           fields_to_store=("text", "../up", "a/b"))
+        idx.save(tmp_path / "idx")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["idx"]
+        assert InvertedIndex.load(tmp_path / "idx").stored(0) == \
+            {"text": "x", "../up": "y", "a/b": "z"}
+
+    def test_save_moves_the_manifest_last(self, small_index, tmp_path, monkeypatch):
+        other = index_corpus([{"docno": "x", "text": "other"}], fields_to_store=("text", "title"))
+        other.save(tmp_path / "idx")
+        real_replace, moved = os.replace, []
+
+        def crash_at_the_manifest(src, dst):
+            if Path(dst).name == MANIFEST:
+                raise OSError("crashed before the manifest moved")
+            moved.append(Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_at_the_manifest)
+        with pytest.raises(OSError, match="before the manifest"):
+            small_index.save(tmp_path / "idx")
+        # every other file moved first, so the new index is complete but for
+        # its manifest, and the old manifest no longer names the new files
+        assert sorted(moved) == sorted(_file_names(2))
+        with pytest.raises(ParseError, match="no manifest.json"):
+            InvertedIndex.load(tmp_path / "idx")
 
     def test_save_into_the_current_directory(self, small_index, tmp_path, monkeypatch):
         (tmp_path / "idx").mkdir()
@@ -765,6 +867,23 @@ class TestPersistence:
         with pytest.raises(ParseError):
             InvertedIndex.load(tmp_path / "idx")
 
+    @pytest.mark.parametrize("old, new", [
+        (b"'descr': '<i4'", b"'descr': '<q4'"),
+        (b"'fortran_order': False", b"'fortran_order': 0    "),
+        # a Python 2 long in the shape, which numpy's own reader would accept
+        (b",), }", b"L,), }"),
+        # one value more than the header's shape
+        (b"", b"\x01\x00\x00\x00"),
+    ])
+    def test_load_refuses_an_array_file_np_save_would_not_write(
+            self, small_index, tmp_path, old, new):
+        small_index.save(tmp_path / "idx")
+        path = tmp_path / "idx" / "doc_ids.npy"
+        data = path.read_bytes()
+        path.write_bytes(data.replace(old, new, 1) if old else data + new)
+        with pytest.raises(ParseError, match="unreadable index file"):
+            InvertedIndex.load(tmp_path / "idx")
+
     @pytest.mark.parametrize("name, damage", [
         ("doc_ids", lambda a: a[:-1]),
         ("tfs", lambda a: a[:-1]),
@@ -808,12 +927,6 @@ class TestPersistence:
         ("docnos", lambda a: a[:1] * 2 + a[2:]),
         ("docnos", lambda a: [7] + a[1:]),
         ("docnos", lambda a: [None] + a[1:]),
-        ("stored", lambda a: ["text"] + a[1:]),
-        ("stored", lambda a: [list(a[0].values())] + a[1:]),
-        # save() writes only str fields; text is what the index feeds on
-        ("stored", lambda a: [{**a[0], "text": 5}] + a[1:]),
-        ("stored", lambda a: a[:-1] + [{**a[-1], "text": None}]),
-        ("stored", lambda a: [{**a[0], "text": ["the", "eiffel"]}] + a[1:]),
     ])
     def test_load_refuses_inconsistent_json(self, small_index, tmp_path, name, damage):
         small_index.save(tmp_path / "idx")
@@ -821,6 +934,139 @@ class TestPersistence:
         path.write_text(json.dumps(damage(json.loads(path.read_text()))))
         with pytest.raises(ParseError, match="corrupt index"):
             InvertedIndex.load(tmp_path / "idx")
+
+
+    def test_resign_reproduces_the_fingerprint_of_undamaged_files(self, small_index, tmp_path):
+        # the helper the structural tests below rely on
+        small_index.save(tmp_path / "idx")
+        resign(tmp_path / "idx")
+        assert json.loads((tmp_path / "idx" / MANIFEST).read_text())["fingerprint"] == \
+            small_index.fingerprint()
+        assert InvertedIndex.load(tmp_path / "idx") == small_index
+
+    @pytest.mark.parametrize("key", ["n_terms", "n_docs"])
+    def test_load_refuses_one_disagreeing_manifest_count(self, small_index, tmp_path, key):
+        small_index.save(tmp_path / "idx")
+        path = tmp_path / "idx" / MANIFEST
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, key: manifest[key] + 1}))
+        resign(tmp_path / "idx")
+        with pytest.raises(ParseError, match="manifest counts disagree"):
+            InvertedIndex.load(tmp_path / "idx")
+
+    def test_load_refuses_a_doc_id_repeated_within_a_posting_list(self, small_index, tmp_path):
+        small_index.save(tmp_path / "idx")
+        d = tmp_path / "idx"
+        doc_ids, tfs, doclens = (np.load(d / f"{n}.npy") for n in ("doc_ids", "tfs", "doclens"))
+        # the first posting list is "the": doc ids 0, 1, 2, 3; its second
+        # posting moves to doc 0, and both docs' lengths follow, so every
+        # other check still passes
+        assert list(doc_ids[:4]) == [0, 1, 2, 3]
+        doclens[0] += tfs[1]
+        doclens[1] -= tfs[1]
+        doc_ids[1] = 0
+        np.save(d / "doc_ids.npy", doc_ids)
+        np.save(d / "doclens.npy", doclens)
+        resign(d)
+        with pytest.raises(ParseError, match="not strictly ascending within a posting list"):
+            InvertedIndex.load(d)
+
+    @pytest.mark.parametrize("damage, what", [
+        (lambda blob, o: (blob, o[1:]), "offsets do not span"),
+        (lambda blob, o: (blob, o + 1), "offsets do not span"),
+        (lambda blob, o: (blob, np.concatenate([[1], o[1:]])), "offsets do not span"),
+        (lambda blob, o: (blob + b"x", o), "offsets do not span"),
+        (lambda blob, o: (blob[:-1], o), "offsets do not span"),
+        (lambda blob, o: (blob, np.concatenate([o[:1], o[2:3], o[1:2], o[3:]])),
+         "offsets do not span"),
+        (lambda blob, o: (blob, o.astype("<i4")), "wrong shape or dtype"),
+        (lambda blob, o: (blob, o.reshape(1, -1)), "wrong shape or dtype"),
+        (lambda blob, o: (b"\xff" + blob[1:], o), "not UTF-8"),
+        # "é" is two bytes, and doc 0's value would end between them
+        (lambda blob, o: (blob[:o[1] - 1] + "é".encode() + blob[o[1] + 1:], o), "not UTF-8"),
+        (lambda blob, o: ("aé".encode() + blob[3:], np.concatenate([[0, 2], o[2:]])),
+         "not UTF-8"),
+    ])
+    def test_load_refuses_inconsistent_stored_fields(self, small_index, tmp_path, damage, what):
+        small_index.save(tmp_path / "idx")
+        d = tmp_path / "idx"
+        blob, offsets = damage((d / "stored_0.bin").read_bytes(), np.load(d / "stored_0.npy"))
+        (d / "stored_0.bin").write_bytes(blob)
+        np.save(d / "stored_0.npy", offsets)
+        resign(d)
+        with pytest.raises(ParseError, match=f"corrupt index.*{what}"):
+            InvertedIndex.load(d)
+
+    def test_load_refuses_swapped_tfs_of_one_doc(self, tmp_path):
+        # the doc's tfs still sum to its length, so only the fingerprint
+        # tells this index from the one saved
+        idx = index_corpus(load_corpus(NQ_MINI))
+        idx.save(tmp_path / "idx")
+        path = tmp_path / "idx" / "tfs.npy"
+        tfs = np.load(path)
+        france = idx.postings("france")[0].tolist().index(0)
+        capital = idx.postings("capital")[0].tolist().index(0)
+        p, q = (int(idx._indptr[idx._term_ids[t]]) + i
+                for t, i in (("france", france), ("capital", capital)))
+        assert (tfs[p], tfs[q]) == (2, 1)
+        tfs[[p, q]] = tfs[[q, p]]
+        np.save(path, tfs)
+        with pytest.raises(ParseError,
+                           match="corrupt index.*do not hash to the manifest's fingerprint"):
+            InvertedIndex.load(tmp_path / "idx")
+
+    def test_load_refuses_an_edited_stored_value(self, small_index, tmp_path):
+        small_index.save(tmp_path / "idx")
+        path = tmp_path / "idx" / "stored_0.bin"
+        path.write_bytes(path.read_bytes().replace(b"eiffel", b"EIFFEL"))
+        with pytest.raises(ParseError,
+                           match="corrupt index.*do not hash to the manifest's fingerprint"):
+            InvertedIndex.load(tmp_path / "idx")
+
+
+@pytest.fixture(scope="module")
+def saved_index(tmp_path_factory):
+    """A small index with two stored fields, non-ASCII text, an empty doc
+    and a stopword, and the directory it is saved in."""
+    idx = index_corpus([
+        {"docno": "d1", "text": "the café is in paris", "title": "Café"},
+        {"docno": "d2", "text": "", "title": "empty"},
+        {"docno": "d3", "text": "paris is the capital of france paris", "title": ""},
+    ], fields_to_store=("text", "title"), tokenizer=Tokenizer(["of"]))
+    directory = tmp_path_factory.mktemp("saved") / "idx"
+    idx.save(directory)
+    return idx, directory
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from([MANIFEST, *_file_names(2)]),
+       how=st.sampled_from(["flip", "truncate", "extend"]),
+       at=st.floats(0, 1), data=st.binary(min_size=1, max_size=9))
+def test_damaged_file_is_refused_or_changes_nothing(saved_index, name, how, at, data):
+    """One file flipped, truncated or extended at a drawn offset: load
+    raises ParseError or returns an index equal in every part."""
+    idx, saved = saved_index
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp) / "idx"
+        shutil.copytree(saved, d)
+        raw = (d / name).read_bytes()
+        i = min(int(at * len(raw)), len(raw) - (how == "flip"))
+        if how == "flip":
+            raw = raw[:i] + bytes([raw[i] ^ (data[0] or 0x80)]) + raw[i + 1:]
+        elif how == "truncate":
+            raw = raw[:i]
+        else:
+            raw = raw[:i] + data + raw[i:]
+        (d / name).write_bytes(raw)
+        try:
+            loaded = InvertedIndex.load(d)
+        except ParseError:
+            return
+    assert loaded.fingerprint() == idx.fingerprint()
+    assert loaded._config() == idx._config()
+    assert {k: bytes(memoryview(v)) for k, v in loaded._parts().items()} == \
+        {k: bytes(memoryview(v)) for k, v in idx._parts().items()}
+    assert [loaded.stored(i) for i in range(3)] == [idx.stored(i) for i in range(3)]
 
 
 class TestAttachAndIndexer:
@@ -839,6 +1085,14 @@ class TestAttachAndIndexer:
         with pytest.raises(Exception) as err:
             run(att, frame)
         assert isinstance(err.value.cause, UnknownDocno)
+
+    def test_indexer_and_index_keep_the_tokenizer_they_are_given(self):
+        tokenizer = Tokenizer(["the"])
+        assert InvertedIndex(tokenizer=tokenizer).tokenizer is tokenizer
+        ix = Indexer(tokenizer=tokenizer)
+        assert ix.tokenizer is tokenizer
+        run(ix, Frame(SemType.D, [{"docno": "d", "text": "the tower"}]))
+        assert ix.index.tokenizer is tokenizer and ix.index.df("the") == 0
 
     def test_indexer_is_terminal_and_builds_equal_index(self, small_index):
         docs = Frame(SemType.D, [
