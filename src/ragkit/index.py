@@ -13,12 +13,13 @@ strictly positive even for terms in more than half the collection, so scores
 are always non-negative.
 
 Postings are numpy arrays in compressed sparse row (CSR) form, and retrieval
-scores eagerly over them, as in BM25S (Lu 2024): one vectorised update of a
-dense per-document accumulator per query term, then a partial sort for the
-top k. The build inverts by sorting: one key per token, term id * n_docs +
-doc id, int32 unless n_terms * n_docs reaches 2**31 (then int64), computed
-and sorted in place in the token-id buffer; each run of equal keys is one
-posting and its length the tf.
+scores eagerly over them, as in BM25S (Lu 2024): a retriever computes each
+posting's BM25 contribution once, when it is built, so a query adds one slice
+of those into a dense per-document accumulator per query term, then
+partitions the accumulator for the top k. The build inverts by sorting: one
+key per token, term id * n_docs + doc id, int32 unless n_terms * n_docs
+reaches 2**31 (then int64), computed and sorted in place in the token-id
+buffer; each run of equal keys is one posting and its length the tf.
 
 An index persists to a directory (format_version 3): the CSR arrays and the
 document lengths as .npy files, the terms and docnos as JSON, each stored
@@ -259,11 +260,14 @@ class InvertedIndex:
 
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """(doc_ids, tfs) array views for a term; empty arrays when unseen."""
+        span = self._span(term)
+        return self._doc_ids[span], self._tfs[span]
+
+    def _span(self, term: str) -> slice:
+        """The positions of a term's postings in the CSR arrays; empty when
+        the term is unseen."""
         t = self._term_ids.get(term)
-        if t is None:
-            return self._doc_ids[:0], self._tfs[:0]
-        start, end = self._indptr[t], self._indptr[t + 1]
-        return self._doc_ids[start:end], self._tfs[start:end]
+        return slice(0, 0) if t is None else slice(self._indptr[t], self._indptr[t + 1])
 
     # -- document identity --------------------------------------------------
 
@@ -617,6 +621,10 @@ def bm25_score(
     return score
 
 
+# postings per step of BM25Retriever's impact build
+_IMPACT_BLOCK = 1 << 16
+
+
 @dataclass(unsafe_hash=True, repr=False)
 class BM25Retriever(Transformer):
     """Q -> R transformer scoring every document that contains at least one
@@ -634,11 +642,33 @@ class BM25Retriever(Transformer):
         check_positive(self.num_results, "num_results")
         self.bm25 = self.bm25 or BM25Params()
         self.include_fields = str_tuple(self.include_fields, "include_fields")
-        # per-doc length norm: the same IEEE operations as bm25_score's
-        # denominator; only read for docs with postings, so avgdl > 0 there
-        k1, b, avgdl = self.bm25.k1, self.bm25.b, self.index.avgdl
-        dl = self.index._doclens / avgdl if avgdl else np.zeros(self.index.n_docs)
-        self._norm = k1 * (1.0 - b + b * dl)
+        self._impact = self._impacts()
+
+    def _impacts(self) -> np.ndarray:
+        """Each posting's BM25 contribution, read-only and aligned with the
+        index's doc ids: idf * (tf * (k1 + 1)) / (tf + norm), the same IEEE
+        operations in the same order as bm25_score. Built block by block, so
+        the scratch memory is a few blocks, not a few postings arrays."""
+        idx = self.index
+        n, k1, b, avgdl = idx.n_docs, self.bm25.k1, self.bm25.b, idx.avgdl
+        # per-doc length norm; only read for docs with postings, so avgdl > 0 there
+        dl = idx._doclens / avgdl if avgdl else np.zeros(n)
+        norm = k1 * (1.0 - b + b * dl)
+        indptr = idx._indptr
+        df = np.diff(indptr)
+        # math.log, as bm25_score takes it: np.log need not round the same way
+        idf = np.array(list(map(math.log, ((n - df + 0.5) / (df + 0.5) + 1.0).tolist())))
+        impact = np.empty(len(idx._doc_ids))
+        for s in range(0, len(impact), _IMPACT_BLOCK):
+            e = min(s + _IMPACT_BLOCK, len(impact))
+            # the terms with postings in [s, e), and how many each has there
+            first, last = np.searchsorted(indptr, (s, e - 1), side="right") - 1
+            counts = np.diff(np.clip(indptr[first:last + 2], s, e))
+            tfs = idx._tfs[s:e]
+            impact[s:e] = (np.repeat(idf[first:last + 1], counts) * (tfs * (k1 + 1.0))
+                           / (tfs + norm[idx._doc_ids[s:e]]))
+        impact.flags.writeable = False  # _cut copies share it
+        return impact
 
     def _cut(self, k: int) -> BM25Retriever:
         # exact, as _top's order is total; a shallow copy keeps any subclass
@@ -654,20 +684,20 @@ class BM25Retriever(Transformer):
         docno asc). Every contribution is positive, so the nonzero entries
         of `acc` are exactly the docs that contain a query term."""
         k = self.num_results
-        cand = np.flatnonzero(acc)
+        if np.count_nonzero(acc) > k:
+            # the k-th largest score, > 0; every doc tied with it survives
+            kth = np.partition(acc, len(acc) - k)[len(acc) - k]
+            cand = np.flatnonzero(acc >= kth)
+        else:
+            cand = np.flatnonzero(acc)
         scores = acc[cand]
-        if len(cand) > k:
-            kth = -np.partition(-scores, k - 1)[k - 1]
-            keep = scores >= kth  # every doc tied with the k-th score survives
-            cand, scores = cand[keep], scores[keep]
         order = np.lexsort((self.index._docno_rank[cand], -scores))[:k]
         return cand[order], scores[order]
 
     def apply(self, frame: Frame) -> Frame:
         idx = self.index
         n = idx.n_docs
-        k1 = self.bm25.k1
-        norm = self._norm
+        span, doc_ids, impact = idx._span, idx._doc_ids, self._impact
         docno = idx._docnos.__getitem__
         segments: list[_Segment] = []
         for row in frame.rows:
@@ -677,14 +707,10 @@ class BM25Retriever(Transformer):
             # and doc ids within one posting list are unique, so the
             # fancy-indexed add is exact
             for term in idx.tokenizer.tokenize(row["query"]):
-                doc_ids, tfs = idx.postings(term)
-                if len(doc_ids) == 0:
-                    continue
-                df = len(doc_ids)
-                idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
-                acc[doc_ids] += idf * (tfs * (k1 + 1.0)) / (tfs + norm[doc_ids])
-            doc_ids, scores = self._top(acc)
-            ids = doc_ids.tolist()
+                s = span(term)
+                acc[doc_ids[s]] += impact[s]
+            top, scores = self._top(acc)
+            ids = top.tolist()
             fields = tuple((f, idx._column(f, ids)) for f in self.include_fields)
             segments.append(
                 _Segment(row["qid"], row["query"], list(map(docno, ids)), scores, fields))

@@ -274,6 +274,33 @@ class TestCommonPrefix:
         assert self.applies(counts, *systems) == {
             "r": 1, "ctx": 1, "echo_query": 1, "extractive_first_sentence": 1}
 
+    def test_a_shared_stage_is_timed_under_the_shared_prefix(self, monkeypatch):
+        # a clock that only the stages move, each by its own power of two,
+        # so that every timing slot sums exactly
+        clock = [0.0]
+        monkeypatch.setattr(ragkit.eval, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+
+        def taking(stage, seconds):
+            inner = stage.apply
+
+            def apply(frame):
+                clock[0] += seconds
+                return inner(frame)
+
+            stage.apply = apply
+            return stage
+
+        r = taking(mock_retriever({"q1": [("d1", 1.0)]}), 1.0)
+        b1, b2 = taking(reranker(2.0), 2.0), taking(reranker(3.0, name="other"), 4.0)
+        tail = concatenate_context(fields=("query",)) >> taking(
+            reader(StubBackend("echo_query")), 8.0)
+        report = experiment([("s0", r >> b1 >> tail), ("s1", r >> b2 >> tail)], TOPICS, GOLD)
+        assert report.timing == {"s0": 10.0, "s1": 12.0, "_shared_prefix": 1.0}
+        other = taking(mock_retriever({}, name="different"), 16.0)
+        report = experiment([("s0", r >> b1 >> tail), ("s1", other >> b1 >> tail)],
+                            TOPICS, GOLD)
+        assert report.timing == {"s0": 11.0, "s1": 26.0, "_shared_prefix": 0.0}
+
     def test_no_common_prefix(self):
         counts, r, b1, _, tail = self.stages()
         other = counted(mock_retriever({}, name="different"), counts, "other")

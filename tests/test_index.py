@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ragkit.frame
+import ragkit.index
 from ragkit.datasets import load_corpus, run_lines
 from ragkit.errors import (
     DuplicateDocno,
@@ -390,14 +391,39 @@ class TestRetriever:
         with pytest.raises(InvalidK):
             bm25_retriever(small_index, num_results=bad)
 
+    def test_a_cut_shares_the_read_only_impacts(self, small_index):
+        r = bm25_retriever(small_index)
+        assert r._cut(3)._impact is r._impact
+        ((_, cut),) = (r % 3)._operands()
+        assert cut.num_results == 3 and cut._impact is r._impact
+        with pytest.raises(ValueError, match="read-only"):
+            r._impact[0] = 1.0
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_impacts_do_not_depend_on_the_build_block(self, small_index, monkeypatch, block):
+        whole = bm25_retriever(small_index, bm25=BM25Params(k1=0.9, b=0.4))._impact
+        assert len(whole) > 7  # more postings than any block below
+        monkeypatch.setattr(ragkit.index, "_IMPACT_BLOCK", block)
+        blocked = bm25_retriever(small_index, bm25=BM25Params(k1=0.9, b=0.4))._impact
+        assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("index", [index_corpus([]), InvertedIndex()],
+                             ids=["no_docs", "empty"])
+    @pytest.mark.parametrize("query", ["", "paris", "paris paris rome"])
+    def test_a_retriever_over_an_empty_index_finds_nothing(self, index, query):
+        r = bm25_retriever(index, include_fields=("text",))
+        assert len(r._impact) == 0
+        out = run(r, Frame(SemType.Q, [{"qid": "q", "query": query}]))
+        assert out.semtype is SemType.R and len(out) == 0
+
 
 def _reference_apply(retriever, frame):
     """The rows of BM25Retriever.apply as it built them before it emitted
     ranked segments: one dict per result, built as soon as it is ranked."""
     idx = retriever.index
     n = idx.n_docs
-    k1 = retriever.bm25.k1
-    norm = retriever._norm
+    k1, b = retriever.bm25.k1, retriever.bm25.b
+    norm = np.array([k1 * (1.0 - b + b * (idx.doclen(d) / idx.avgdl)) for d in range(n)])
     docnos = idx._docnos
     out_rows = []
     for row in frame.rows:
@@ -478,20 +504,23 @@ def _retrieval_cases(draw):
     docs = [{"docno": d, "text": draw(st.sampled_from(texts))} for d in docnos]
     # repeated and unseen query terms
     query = draw(st.lists(st.sampled_from(vocab + ["unseen"]), max_size=5))
-    return docs, " ".join(query), draw(st.integers(1, n))
+    params = BM25Params(k1=draw(st.sampled_from([0.0, 1.2]) | st.floats(0, 3)),
+                        b=draw(st.sampled_from([0.0, 0.75, 1.0]) | st.floats(0, 1)))
+    # k below, at and above both the matched and the total doc count
+    return docs, " ".join(query), params, draw(st.integers(1, n + 3))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_retrieval_cases())
 def test_retriever_matches_exhaustive_bm25_score_ranking(case):
-    docs, query, k = case
+    docs, query, params, k = case
     idx = index_corpus(docs)
     terms = idx.tokenizer.tokenize(query)
     matched = [d for d in range(idx.n_docs)
                if set(terms) & set(idx.tokenizer.tokenize(docs[d]["text"]))]
-    ranking = sorted(((bm25_score(idx, terms, d), idx.docno(d)) for d in matched),
+    ranking = sorted(((bm25_score(idx, terms, d, params), idx.docno(d)) for d in matched),
                      key=lambda x: (-x[0], x[1]))[:k]
-    out = run(bm25_retriever(idx, num_results=k),
+    out = run(bm25_retriever(idx, bm25=params, num_results=k),
               Frame(SemType.Q, [{"qid": "q", "query": query}]))
     assert [(r["docno"], r["score"]) for r in out.rows] == \
         [(docno, score) for score, docno in ranking]

@@ -47,6 +47,10 @@ class TestLeaves:
                      (SemType.QC, SemType.A), (SemType.D, TERMINAL)]:
             FnTransformer(Signature(*pair), "t", lambda f: f)
 
+    def test_terminal_is_one_named_instance(self):
+        assert TERMINAL is ragkit.transformer._Terminal()
+        assert repr(TERMINAL) == "Terminal"
+
     def test_identity_allowed_at_any_type(self):
         for semtype in SemType:
             ident = identity(semtype)
