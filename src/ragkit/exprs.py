@@ -78,11 +78,13 @@ _CUT = len(_BINARY)
 @dataclass
 class Env:
     """What stage construction may need: a lazily loaded index and a
-    backend factory (overridable in tests)."""
+    backend factory (overridable in tests). Equal BM25 retrievers built
+    through one Env are one instance, so they hold one impact array."""
 
     index_provider: Callable[[], InvertedIndex] | None = None
     backend_factory: Callable[[str, int], Backend] | None = None
     _index: InvertedIndex | None = field(default=None, repr=False)
+    _retrievers: dict = field(default_factory=dict, repr=False)
 
     def index(self, offset: int) -> InvertedIndex:
         if self._index is None:
@@ -90,6 +92,9 @@ class Env:
                 raise ExprError("this stage needs an index (pass --index)", offset)
             self._index = self.index_provider()
         return self._index
+
+    def _retriever(self, built: BM25Retriever) -> BM25Retriever:
+        return self._retrievers.setdefault(built, built)
 
     def backend(self, spec: str, offset: int) -> Backend:
         if self.backend_factory is not None:
@@ -328,9 +333,9 @@ _STAGES = {
     # pass fields="" to index-only rows
     "bm25": _Stage(
         BM25Retriever,
-        lambda a, env, at: BM25Retriever(
+        lambda a, env, at: env._retriever(BM25Retriever(
             env.index(at[""]), BM25Params(**_given(a, k1="k1", b="b")),
-            **_given(a, num_results="k", include_fields="fields")),
+            **_given(a, num_results="k", include_fields="fields"))),
         lambda n: {"k": n.num_results, "k1": n.bm25.k1, "b": n.bm25.b,
                    "fields": n.include_fields},
         {"fields": "text"}),
@@ -353,8 +358,8 @@ _STAGES = {
     "ircot": _Stage(
         IterativeRetriever,
         lambda a, env, at: IterativeRetriever(
-            BM25Retriever(env.index(at[""]), **_given(a, num_results="k",
-                                                      include_fields="fields")),
+            env._retriever(BM25Retriever(env.index(at[""]), **_given(
+                a, num_results="k", include_fields="fields"))),
             _backend(a, env, at), _template(IterativeRetriever, a),
             **_given(a, exit_phrase="exit", max_iterations="iters",
                      docs_per_iteration="docs", fields="fields")),

@@ -14,9 +14,10 @@ are always non-negative.
 
 Postings are numpy arrays in compressed sparse row (CSR) form, and retrieval
 scores eagerly over them, as in BM25S (Lu 2024): a retriever computes each
-posting's BM25 contribution once, when it is built, so a query adds one slice
-of those into a dense per-document accumulator per query term, then
-partitions the accumulator for the top k. The build inverts by sorting: one
+posting's BM25 contribution once, when it is built; a query sums its terms'
+slices of those, in query term order, into a dense per-document accumulator
+by one weighted bincount, partitions it for the top k, and takes the docnos
+from one read-only object array. The build inverts by sorting: one
 key per token, term id * n_docs + doc id, int32 unless n_terms * n_docs
 reaches 2**31 (then int64), computed and sorted in place in the token-id
 buffer; each run of equal keys is one posting and its length the tf.
@@ -218,7 +219,8 @@ class InvertedIndex:
         self.stored_fields = str_tuple(stored_fields, "stored_fields")
         self._terms = terms
         self._term_ids = {t: i for i, t in enumerate(terms)}
-        self._docnos = docnos
+        self._docnos = np.array(docnos, object)  # a ranking's docnos are one take
+        self._docnos.flags.writeable = False
         self._ids = {d: i for i, d in enumerate(docnos)}
         # (field, blob, offsets); stored() reads offsets as Python ints
         self._stored = [(f, blob, offsets)
@@ -314,7 +316,7 @@ class InvertedIndex:
         writes these and fingerprint() hashes them; nothing is copied but
         the JSON text."""
         parts: dict[str, bytes | bytearray | np.ndarray] = {
-            f"{name}.json": json.dumps(getattr(self, f"_{name}")).encode()
+            f"{name}.json": json.dumps(list(getattr(self, f"_{name}"))).encode()
             for name in _JSON_PARTS
         }
         for i, (_, blob, offsets) in enumerate(self._stored):
@@ -683,13 +685,11 @@ class BM25Retriever(Transformer):
         """Doc ids and float64 scores of the top num_results by (score desc,
         docno asc). Every contribution is positive, so the nonzero entries
         of `acc` are exactly the docs that contain a query term."""
-        k = self.num_results
-        if np.count_nonzero(acc) > k:
-            # the k-th largest score, > 0; every doc tied with it survives
-            kth = np.partition(acc, len(acc) - k)[len(acc) - k]
-            cand = np.flatnonzero(acc >= kth)
-        else:
-            cand = np.flatnonzero(acc)
+        k, n = self.num_results, len(acc)
+        # the k-th largest score, 0 when fewer than k docs scored; every doc
+        # tied with it survives to the sort
+        kth = np.partition(acc, n - k)[n - k] if n > k else 0.0
+        cand = np.flatnonzero(acc >= kth) if kth > 0 else np.flatnonzero(acc)
         scores = acc[cand]
         order = np.lexsort((self.index._docno_rank[cand], -scores))[:k]
         return cand[order], scores[order]
@@ -698,22 +698,22 @@ class BM25Retriever(Transformer):
         idx = self.index
         n = idx.n_docs
         span, doc_ids, impact = idx._span, idx._doc_ids, self._impact
-        docno = idx._docnos.__getitem__
         segments: list[_Segment] = []
         for row in frame.rows:
-            acc = np.zeros(n)
-            # term-at-a-time accumulation; per document the additions happen
-            # in query term order, matching bm25_score's summation exactly,
-            # and doc ids within one posting list are unique, so the
-            # fancy-indexed add is exact
-            for term in idx.tokenizer.tokenize(row["query"]):
-                s = span(term)
-                acc[doc_ids[s]] += impact[s]
+            # the query terms' postings in query term order, doc ids as intp
+            # so that bincount takes them uncopied; it adds each doc's weights
+            # in that order from 0.0, as bm25_score's loop does. Without
+            # postings it would raise (no arrays) or count in int64
+            spans = [s for s in map(span, idx.tokenizer.tokenize(row["query"]))
+                     if s.start != s.stop]
+            acc = np.bincount(np.concatenate([doc_ids[s] for s in spans], dtype=np.intp),
+                              np.concatenate([impact[s] for s in spans]),
+                              minlength=n) if spans else np.zeros(n)
             top, scores = self._top(acc)
-            ids = top.tolist()
+            ids = top.tolist() if self.include_fields else []
             fields = tuple((f, idx._column(f, ids)) for f in self.include_fields)
-            segments.append(
-                _Segment(row["qid"], row["query"], list(map(docno, ids)), scores, fields))
+            segments.append(_Segment(row["qid"], row["query"], idx._docnos[top].tolist(),
+                                     scores, fields))
         # the rows are built only if something reads them
         return Frame._ranked(segments)
 

@@ -54,6 +54,18 @@ class TestStageParsing:
         assert node.num_results == 7
         assert node.include_fields == ("text", "title")
 
+    def test_equal_retrievers_of_one_env_share_their_impacts(self, env):
+        first, *leaves = [parse("bm25(k=3) % 2", env).child,
+                          parse("bm25(k=3) % 1", env).child,
+                          components(parse("bm25(k=3) >> concat", env))[0],
+                          parse("ircot(k=3)", env).retriever]
+        assert all(r == first and r._impact is first._impact for r in leaves)
+        tuned = parse("bm25(k=3, k1=0.9)", env)
+        assert tuned != first and tuned._impact is not first._impact
+        # another Env builds its own
+        other = Env(index_provider=env.index_provider)
+        assert parse("bm25(k=3)", other)._impact is not first._impact
+
     def test_bm25_defaults_attach_text(self, env):
         assert parse("bm25", env).include_fields == ("text",)
         assert parse('bm25(fields="")', env).include_fields == ()

@@ -166,7 +166,11 @@ class TestIndexConstruction:
     def test_docno_mapping(self, small_index):
         idx = small_index
         assert idx.doc_id("d3") == 2
-        assert idx.docno(2) == "d3"
+        assert idx.docno(2) == "d3" and type(idx.docno(2)) is str
+        with pytest.raises(IndexError):
+            idx.docno(idx.n_docs)
+        with pytest.raises(ValueError, match="read-only"):
+            idx._docnos[0] = "zz"
         assert idx.has_docno("d1") and not idx.has_docno("zz")
         with pytest.raises(UnknownDocno):
             idx.doc_id("zz")
@@ -419,12 +423,12 @@ class TestRetriever:
 
 def _reference_apply(retriever, frame):
     """The rows of BM25Retriever.apply as it built them before it emitted
-    ranked segments: one dict per result, built as soon as it is ranked."""
+    ranked segments: one dict per result, built as soon as it is ranked.
+    Every doc with a positive score is ranked by (-score, docno)."""
     idx = retriever.index
     n = idx.n_docs
     k1, b = retriever.bm25.k1, retriever.bm25.b
     norm = np.array([k1 * (1.0 - b + b * (idx.doclen(d) / idx.avgdl)) for d in range(n)])
-    docnos = idx._docnos
     out_rows = []
     for row in frame.rows:
         acc = np.zeros(n)
@@ -435,19 +439,57 @@ def _reference_apply(retriever, frame):
             df = len(doc_ids)
             idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
             acc[doc_ids] += idf * (tfs * (k1 + 1.0)) / (tfs + norm[doc_ids])
-        doc_ids, scores = (a.tolist() for a in retriever._top(acc))
+        ranked = sorted((-score, idx.docno(doc_id), doc_id)
+                        for doc_id, score in enumerate(acc.tolist()) if score > 0)
         qid, query = row["qid"], row["query"]
         rows = [
-            {"qid": qid, "docno": docnos[doc_id], "score": score, "rank": rank, "query": query}
-            for rank, (doc_id, score) in enumerate(zip(doc_ids, scores))
+            {"qid": qid, "docno": docno, "score": -neg, "rank": rank, "query": query}
+            for rank, (neg, docno, _) in enumerate(ranked[:retriever.num_results])
         ]
         if retriever.include_fields:
-            for out, doc_id in zip(rows, doc_ids):
+            for out, (_, _, doc_id) in zip(rows, ranked):
                 stored = idx.stored(doc_id)
                 for f in retriever.include_fields:
                     out[f] = stored.get(f, "")
         out_rows += rows
     return out_rows
+
+
+# docnos whose order is not the ingestion order
+_TOP_DOCNOS = ["d5", "d3", "d0", "d4", "d1", "d2"]
+
+
+class TestTop:
+    @pytest.mark.parametrize("acc, k", [
+        ([0.5, 0, 2.0, 0, 1.0, 0], 6),  # n <= k
+        ([0.5, 0, 2.0, 0, 1.0, 0], 9),
+        ([0, 0, 2.0, 0, 1.0, 0], 4),  # n > k, fewer than k docs scored: kth is 0
+        ([0.5, 0, 2.0, 0, 1.0, 0], 3),  # exactly k docs scored
+        ([3.0, 1.0, 1.0, 0, 1.0, 0.5], 2),  # three docs tie at the k-th score
+        ([1.0, 1.0, 1.0, 1.0, 1.0, 1.0], 5),  # every doc ties
+        ([0, 0, 0, 0, 0, 0], 2),  # nothing scored
+    ])
+    def test_top_is_the_sorted_positive_scores_cut_to_k(self, acc, k):
+        idx = index_corpus([{"docno": d, "text": "x"} for d in _TOP_DOCNOS])
+        doc_ids, scores = bm25_retriever(idx, num_results=k)._top(np.array(acc, float))
+        want = sorted((-s, _TOP_DOCNOS[d], d) for d, s in enumerate(acc) if s > 0)[:k]
+        assert doc_ids.tolist() == [d for _, _, d in want]
+        assert scores.dtype == np.float64 and scores.tolist() == [-s for s, _, _ in want]
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 6, 9])
+    @pytest.mark.parametrize("query", ["!!!", "zzz qqq", "zzz x zzz", "x"])
+    def test_no_tokens_and_unseen_terms_rank_as_the_reference(self, query, k):
+        idx = index_corpus([{"docno": d, "text": "x" if d < "d3" else "y"}
+                            for d in _TOP_DOCNOS])
+        retriever = bm25_retriever(idx, num_results=k, include_fields=("text",))
+        topics = Frame(SemType.Q, [{"qid": "q", "query": query}])
+        out = retriever.apply(topics)
+        (segment,) = out._rows.segments
+        assert segment.scores.dtype == np.float64  # with no postings too
+        got = out.rows
+        assert [list(r.items()) for r in got] == \
+            [list(r.items()) for r in _reference_apply(retriever, topics)]
+        assert len(got) == (min(k, 3) if "x" in query.split() else 0)
 
 
 class TestRankedSegments:
@@ -456,7 +498,8 @@ class TestRankedSegments:
     def test_rows_equal_the_row_building_reference(self, small_index, fields):
         topics = Frame(SemType.Q, [{"qid": "q2", "query": "the capital of paris"},
                                    {"qid": "q1", "query": "rome rome tower"},
-                                   {"qid": "q3", "query": "nothing matches"}])
+                                   {"qid": "q3", "query": "nothing matches"},
+                                   {"qid": "q4", "query": "!!!"}])
         retriever = BM25Retriever(small_index, num_results=3, include_fields=fields)
         want = _reference_apply(retriever, topics)
         got = retriever.apply(topics).rows
@@ -688,6 +731,8 @@ class TestPersistence:
         assert loaded.avgdl == small_index.avgdl
         assert loaded.n_terms == small_index.n_terms
         assert loaded.fingerprint() == small_index.fingerprint()
+        # docnos.json holds the docnos as one JSON list of str
+        assert (tmp_path / "idx" / "docnos.json").read_bytes() == b'["d1", "d2", "d3", "d4"]'
         q = Frame(SemType.Q, [{"qid": "q", "query": "capital of france"}])
         assert run(bm25_retriever(loaded), q) == run(bm25_retriever(small_index), q)
 
