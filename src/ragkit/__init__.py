@@ -79,7 +79,6 @@ from .rag import (
     ZeroShot,
     concatenate_context,
     ircot,
-    phrase_exit,
     reader,
     render_prompt,
     zero_shot,

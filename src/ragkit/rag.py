@@ -514,25 +514,6 @@ zero_shot = ZeroShot
 DEFAULT_EXIT_PHRASE = "so the answer is"
 
 
-@dataclass(frozen=True)
-class PhraseExit:
-    """Exit predicate: true when the generated step contains the phrase
-    (case-insensitive). Predicates over the same phrase are equal, so
-    pipelines using them compare equal structurally."""
-
-    phrase: str = DEFAULT_EXIT_PHRASE
-
-    def __post_init__(self) -> None:
-        check_str(self.phrase, "phrase")
-        object.__setattr__(self, "phrase", self.phrase.lower())
-
-    def __call__(self, row: dict) -> bool:
-        return self.phrase in row["qanswer"].lower()
-
-
-phrase_exit = PhraseExit
-
-
 @dataclass(unsafe_hash=True, repr=False)
 class IterativeRetriever(Transformer):
     """Q -> A: interleaved retrieval and generation, in rounds.
@@ -543,19 +524,19 @@ class IterativeRetriever(Transformer):
     into its accumulated, docno-deduplicated set (first-seen order), and its
     prompt holds a context built from that set as a Concatenator over
     `fields` would, the original question, and the chain of its previously
-    generated sentences. A question leaves as soon as exit_condition accepts
-    its step (or after max_iterations); its later retrievals use the
-    original question plus its latest sentence. The prompt is fitted to the
-    backend's max_input_chars by cutting the context tail; if the question
-    and the chain alone do not fit, the stage fails with TemplateError. The
-    answer is the text after the first exit phrase when present, the whole
-    chain otherwise; an `iterations` column reports the chain's length.
+    generated sentences. A question leaves as soon as its step contains
+    exit_phrase in any case (or after max_iterations); its later retrievals
+    use the original question plus its latest sentence. The prompt is fitted
+    to the backend's max_input_chars by cutting the context tail; if the
+    question and the chain alone do not fit, the stage fails with
+    TemplateError. The answer is the text after the first exit_phrase in the
+    chain when present, the whole chain otherwise; an `iterations` column
+    reports the chain's length.
     """
 
     retriever: Transformer
     backend: Backend
     template: PromptTemplate | None = None
-    exit_condition: Callable[[dict], bool] | None = None
     exit_phrase: str = DEFAULT_EXIT_PHRASE
     max_iterations: int = 4
     docs_per_iteration: int = 4
@@ -573,8 +554,9 @@ class IterativeRetriever(Transformer):
         check_positive(self.docs_per_iteration, "docs_per_iteration")
         self.template = self.template or self.default_template
         check_str(self.exit_phrase, "exit_phrase")
+        if not self.exit_phrase.strip():
+            raise ValueError(f"exit_phrase must not be blank, got {self.exit_phrase!r}")
         self.exit_phrase = self.exit_phrase.lower()
-        self.exit_condition = self.exit_condition or phrase_exit(self.exit_phrase)
         self.fields = str_tuple(self.fields, "fields")
         self._retrieve = self.retriever % self.docs_per_iteration
         # budgets at the backend's limit never cut what the prompt fitting
@@ -601,8 +583,7 @@ class IterativeRetriever(Transformer):
             ])
             for qid, step in zip(list(queries), steps):
                 chains[qid].append(step)
-                if (self.exit_condition({"qid": qid, "qanswer": step})
-                        or len(chains[qid]) == self.max_iterations):
+                if self.exit_phrase in step.lower() or len(chains[qid]) == self.max_iterations:
                     del queries[qid]
                 else:
                     queries[qid] = questions[qid] + " " + step

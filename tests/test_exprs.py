@@ -16,7 +16,6 @@ from ragkit.rag import (
     Reader,
     StubBackend,
     ZeroShot,
-    phrase_exit,
 )
 from ragkit.transformer import (
     CombineSum,
@@ -186,6 +185,7 @@ class TestParseErrors:
         ('zeroshot(user="{context}")', 14, "must not use {context}"),
         ("reader(system=5)", 14, "system must be a str, got 5"),
         ("ircot(exit=5)", 11, "exit_phrase must be a str, got 5"),
+        ('ircot(exit="")', 11, "exit_phrase must not be blank"),
     ])
     def test_template_errors_are_expression_errors(self, env, text, offset, fragment):
         with pytest.raises(ExprError) as err:
@@ -407,7 +407,7 @@ def _ircot(draw):
     return IterativeRetriever(
         BM25Retriever(_IDX, num_results=k, include_fields=fields), draw(_BACKENDS),
         draw(st.one_of(st.none(), _templates("query", "context"))),
-        exit_phrase=draw(_maybe("so the answer is", _TEXT)),
+        exit_phrase=draw(_maybe("so the answer is", _TEXT.filter(str.strip))),
         max_iterations=draw(_maybe(4, st.integers(1, 9))),
         docs_per_iteration=draw(_maybe(4, st.integers(1, 9))), fields=fields)
 
@@ -457,8 +457,6 @@ def _retriever(**kwargs):
     Reader(HttpBackend("m", base_url="http://localhost:1")),
     Reader(HttpBackend("m", max_input_chars=10)),
     Concatenator(item_template="{text}!"),
-    IterativeRetriever(_retriever(), StubBackend(), exit_condition=lambda row: True),
-    IterativeRetriever(_retriever(), StubBackend(), exit_condition=phrase_exit("done")),
     IterativeRetriever(_retriever(bm25=BM25Params(k1=2.0)), StubBackend()),
     IterativeRetriever(_retriever() % 5, StubBackend()),
     FnTransformer(Signature(SemType.QC, SemType.A), "mine", lambda f: f),

@@ -25,7 +25,6 @@ from ragkit.rag import (
     Reader,
     StubBackend,
     ZeroShot,
-    phrase_exit,
 )
 from ragkit.frame import SemType
 from ragkit.transformer import (
@@ -95,7 +94,6 @@ def cases(index):
             "retriever": [BM25Retriever(index, num_results=10, include_fields=("text",))],
             "backend": backends,
             "template": [PromptTemplate("{context}\n{query}")],
-            "exit_condition": [phrase_exit("done"), lambda row: True],
             "exit_phrase": ["done"],
             "max_iterations": [2],
             "docs_per_iteration": [2],

@@ -20,7 +20,6 @@ from ragkit.rag import (
     StubBackend,
     concatenate_context,
     ircot,
-    phrase_exit,
     _fit_prompt,
     reader,
     render_prompt,
@@ -470,20 +469,22 @@ class TestIterativeRetrieval:
             "which", "alpha\nbeta")
 
     def test_structural_equality_with_phrase_exit(self):
-        a = ircot(mock_retriever({"q": []}), StubBackend(),
-                  exit_condition=phrase_exit("done"))
-        b = ircot(mock_retriever({"x": []}), StubBackend(),
-                  exit_condition=phrase_exit("done"))
-        assert a == b
-        # ad hoc lambdas have no stable identity, so these differ
-        c = ircot(mock_retriever({}), StubBackend(), exit_condition=lambda r: True)
-        d = ircot(mock_retriever({}), StubBackend(), exit_condition=lambda r: True)
-        assert c != d
+        # the phrase is compared in lower case, so its case is not identity
+        a = ircot(mock_retriever({"q": []}), StubBackend(), exit_phrase="Done")
+        b = ircot(mock_retriever({"x": []}), StubBackend(), exit_phrase="done")
+        assert a == b and hash(a) == hash(b)
+        assert a != ircot(mock_retriever({}), StubBackend(), exit_phrase="finished")
 
     @pytest.mark.parametrize("bad", [5, None, b"done"])
-    def test_phrase_exit_refuses_a_non_str_phrase(self, bad):
-        with pytest.raises(TypeError, match="phrase must be a str"):
-            phrase_exit(bad)
+    def test_a_non_str_exit_phrase_is_refused(self, bad):
+        with pytest.raises(TypeError, match="exit_phrase must be a str"):
+            ircot(mock_retriever({}), StubBackend(), exit_phrase=bad)
+
+    @pytest.mark.parametrize("blank", ["", " ", "\t\n"])
+    def test_a_blank_exit_phrase_is_refused(self, blank):
+        # a blank phrase would be in every step and stop every question at once
+        with pytest.raises(ValueError, match="exit_phrase must not be blank"):
+            ircot(mock_retriever({}), StubBackend(), exit_phrase=blank)
 
     @pytest.mark.parametrize("n_answers", [0, 2])
     def test_misbehaving_backend_is_reported(self, n_answers):
@@ -560,7 +561,8 @@ def test_ircot_prompts_fit_the_budget_and_keep_the_question(question, texts, ste
     overhead = len(DEFAULT_ITERATIVE_TEMPLATE.render_user(question))
     budget = overhead + (len("\n" + chain) if len(steps) > 1 else 0) + slack
     backend = ScriptedSteps(steps, max_input_chars=budget)
-    loop = ircot(_doc_retriever(texts), backend, exit_condition=lambda row: False,
+    # no step is 200 characters long, even lowercased, so none holds the phrase
+    loop = ircot(_doc_retriever(texts), backend, exit_phrase="x" * 200,
                  max_iterations=len(steps), docs_per_iteration=3)
     out = run(loop, Frame(SemType.Q, [{"qid": "q", "query": question}]))
     assert out.rows[0]["iterations"] == len(steps)
@@ -569,6 +571,35 @@ def test_ircot_prompts_fit_the_budget_and_keep_the_question(question, texts, ste
     for prompt in sent:
         assert len(prompt) <= budget
         assert f"Question: {question}\nAnswer:" in prompt
+
+
+@pytest.mark.parametrize("steps, answer, iterations", [
+    (["no", "SO THE ANSWER IS Rome!", "x"], "Rome", 2),
+    # a phrase split across two steps is in neither, so the loop goes on
+    (["So the", "Answer is Paris.", "more"], "Paris. more", 3),
+])
+def test_a_question_stops_at_its_first_step_holding_the_exit_phrase(steps, answer, iterations):
+    backend = ScriptedSteps(steps, max_input_chars=10**6)
+    loop = ircot(mock_retriever({"q": [("d1", 1.0)]}), backend, fields=("query",),
+                 max_iterations=3)
+    out = run(loop, Frame(SemType.Q, [{"qid": "q", "query": "which city"}]))
+    assert out.rows[0] == {"qid": "q", "qanswer": answer, "iterations": iterations}
+    assert len(backend.prompts) == iterations
+
+
+_CASED = st.sampled_from("aAbB \u0130i")
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.text(_CASED, max_size=6), min_size=1, max_size=5),
+       phrase=st.text(_CASED, min_size=1, max_size=3).filter(str.strip))
+def test_the_exit_phrase_alone_decides_when_a_question_stops(steps, phrase):
+    backend = ScriptedSteps(steps, max_input_chars=10**6)
+    loop = ircot(mock_retriever({"q": [("d1", 1.0)]}), backend, fields=("query",),
+                 exit_phrase=phrase, max_iterations=len(steps))
+    out = run(loop, Frame(SemType.Q, [{"qid": "q", "query": "which"}]))
+    stops = [i + 1 for i, s in enumerate(steps) if phrase.lower() in s.lower()]
+    assert out.rows[0]["iterations"] == (stops or [len(steps)])[0]
 
 
 def _word_retriever():
