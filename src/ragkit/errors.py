@@ -133,12 +133,21 @@ class TemplateError(RagkitError):
 
 
 class BackendError(RagkitError):
+    """A generation backend failed. `qid` names the query whose prompt
+    failed, when that is known; `prompt` is the failed prompt's position in
+    its generate call, when the backend recorded it."""
+
     def __init__(self, message: str, qid: str | None = None, status: int | None = None):
-        self.qid = qid
-        self.status = status
-        if qid is not None:
-            message = f"{message} (qid={qid})"
         super().__init__(message)
+        self.status = status
+        self.prompt: int | None = None
+        self.qid: str | None = None
+        if qid is not None:
+            self._name_qid(qid)
+
+    def _name_qid(self, qid: str) -> None:
+        self.qid = qid
+        self.args = (f"{self.args[0]} (qid={qid})",)
 
 
 class ParseError(RagkitError):

@@ -1,26 +1,28 @@
 """Inverted index with BM25 scoring.
 
-The index is built once from a document stream and is read-only afterwards;
-concurrent retrieval is safe. Tokenization is the same at index and query
-time: lowercase, then split on every character that is not alphanumeric
-(`str.isalnum()`: Unicode letters and digits), `_` included; no stemming,
-optional stopword removal (off by default). The regex `[^\\W_]+` defines the
-tokens; ASCII text is split by `str.translate` and `str.split` instead, which
-give exactly the regex's tokens, faster.
+The index is built once from a document stream and is read-only afterwards,
+except for its memo of BM25 contributions; concurrent retrieval is safe.
+Tokenization is the same at index and query time: lowercase, then split on
+every character that is not alphanumeric (`str.isalnum()`: Unicode letters
+and digits), `_` included; no stemming, optional stopword removal (off by
+default). The regex `[^\\W_]+` defines the tokens; ASCII text is lowercased
+and split by one `str.translate` table and `str.split` instead, which give
+exactly the regex's tokens, faster.
 
 BM25 uses the shifted idf ln((N - df + 0.5)/(df + 0.5) + 1), which is
 strictly positive even for terms in more than half the collection, so scores
 are always non-negative.
 
 Postings are numpy arrays in compressed sparse row (CSR) form, and retrieval
-scores eagerly over them, as in BM25S (Lu 2024): a retriever computes each
-posting's BM25 contribution once, when it is built; a query sums its terms'
-slices of those, in query term order, into a dense per-document accumulator
-by one weighted bincount, partitions it for the top k, and takes the docnos
-from one read-only object array. The build inverts by sorting: one
-key per token, term id * n_docs + doc id, int32 unless n_terms * n_docs
-reaches 2**31 (then int64), computed and sorted in place in the token-id
-buffer; each run of equal keys is one posting and its length the tf.
+scores eagerly over them, as in BM25S (Lu 2024): the index computes each
+posting's BM25 contribution once per BM25Params, when a retriever with those
+params first runs, and keeps it; a query sums its terms' slices of those, in
+query term order, into a dense per-document accumulator by one weighted
+bincount, partitions it for the top k, and takes the docnos from one
+read-only object array. The build inverts by sorting: one key per token,
+term id * n_docs + doc id, int32 unless n_terms * n_docs reaches 2**31 (then
+int64), computed and sorted in place in the token-id buffer; each run of
+equal keys is one posting and its length the tf.
 
 An index persists to a directory (format_version 3): the CSR arrays and the
 document lengths as .npy files, the terms and docnos as JSON, each stored
@@ -71,11 +73,14 @@ from .frame import Frame, SemType, _Segment, terminal_frame
 from .transformer import Signature, TERMINAL, Transformer
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# every ASCII character that is neither alphanumeric nor whitespace becomes a
-# space, so that str.split() on ASCII text yields exactly _TOKEN_RE's tokens
-_ASCII_SEPARATORS = str.maketrans(
-    {c: " " for c in map(chr, range(128)) if not (c.isalnum() or c.isspace())})
+# all 128 ASCII characters: A-Z lowercase, other alphanumerics and whitespace
+# map to themselves, the rest to a space, so that str.split() on translated
+# ASCII text yields exactly _TOKEN_RE's tokens of the lowered text
+_ASCII_FOLD = str.maketrans(
+    {c: c.lower() if c.isalnum() or c.isspace() else " " for c in map(chr, range(128))})
 
+# postings per step of InvertedIndex._impacts
+_IMPACT_BLOCK = 1 << 16
 FORMAT_VERSION = 3
 MANIFEST = "manifest.json"
 _JSON_PARTS = ("terms", "docnos")
@@ -152,9 +157,10 @@ class Tokenizer:
 
     The regex `[^\\W_]+` over the lowered text defines the tokens and
     tokenizes any text that is not all ASCII. ASCII text takes a faster
-    path, `str.translate` then `str.split`, with exactly the same tokens:
-    `[^\\W_]` matches a character exactly when `str.isalnum()` is true, and
-    no character that `str.split()` treats as whitespace is alphanumeric.
+    path, one `str.translate` table that lowercases and turns separators
+    into spaces, then `str.split`, with exactly the same tokens: `[^\\W_]`
+    matches a character exactly when `str.isalnum()` is true, and no
+    character that `str.split()` treats as whitespace is alphanumeric.
     """
 
     stopwords: Iterable[str] = ()
@@ -164,13 +170,10 @@ class Tokenizer:
         object.__setattr__(self, "stopwords", frozenset(w.lower() for w in words))
 
     def tokenize(self, text: str) -> list[str]:
-        # the table covers ASCII only, so test the text it applies to: the
-        # lowered text (U+212A KELVIN SIGN lowers to ASCII "k")
-        text = text.lower()
         if text.isascii():
-            tokens = text.translate(_ASCII_SEPARATORS).split()
+            tokens = text.translate(_ASCII_FOLD).split()
         else:
-            tokens = _TOKEN_RE.findall(text)
+            tokens = _TOKEN_RE.findall(text.lower())
         if self.stopwords:
             tokens = [t for t in tokens if t not in self.stopwords]
         return tokens
@@ -198,7 +201,8 @@ class InvertedIndex:
     matching tfs, and postings() returns those slices as array views. Doc
     ids are dense 0..N-1 in ingestion order. Each stored field is one blob
     of its values' UTF-8 bytes, concatenated in doc id order, with n_docs + 1
-    offsets: doc i's value is blob[offsets[i]:offsets[i + 1]].
+    offsets: doc i's value is blob[offsets[i]:offsets[i + 1]]. Read-only
+    except for _impacts()'s memo: one array per BM25Params used.
     """
 
     def __init__(self, tokenizer: Tokenizer | None = None,
@@ -237,6 +241,7 @@ class InvertedIndex:
         self._docno_rank = np.empty(n, np.int64)
         self._docno_rank[sorted(range(n), key=docnos.__getitem__)] = np.arange(n)
         self._fingerprint: str | None = None
+        self._impact_memo: dict[BM25Params, np.ndarray] = {}
         return self
 
     # -- statistics -------------------------------------------------------
@@ -293,6 +298,33 @@ class InvertedIndex:
         for field, blob, offsets in self._stored:
             out[field] = blob[offsets[doc_id]:offsets[doc_id + 1]].decode()
         return out
+
+    def _impacts(self, params: BM25Params) -> np.ndarray:
+        """Each posting's BM25 contribution under `params`, aligned with
+        doc_ids: idf * (tf * (k1 + 1)) / (tf + norm), bm25_score's IEEE
+        operations in its order. Built once per params, in blocks so that the
+        scratch memory stays small; callers racing to build it get one array."""
+        if params in self._impact_memo:
+            return self._impact_memo[params]
+        n, k1, b, avgdl = self.n_docs, params.k1, params.b, self.avgdl
+        # per-doc length norm; only read for docs with postings, so avgdl > 0 there
+        dl = self._doclens / avgdl if avgdl else np.zeros(n)
+        norm = k1 * (1.0 - b + b * dl)
+        indptr = self._indptr
+        df = np.diff(indptr)
+        # math.log, as bm25_score takes it: np.log need not round the same way
+        idf = np.array(list(map(math.log, ((n - df + 0.5) / (df + 0.5) + 1.0).tolist())))
+        impact = np.empty(len(self._doc_ids))
+        for s in range(0, len(impact), _IMPACT_BLOCK):
+            e = min(s + _IMPACT_BLOCK, len(impact))
+            # the terms with postings in [s, e), and how many each has there
+            first, last = np.searchsorted(indptr, (s, e - 1), side="right") - 1
+            counts = np.diff(np.clip(indptr[first:last + 2], s, e))
+            tfs = self._tfs[s:e]
+            impact[s:e] = (np.repeat(idf[first:last + 1], counts) * (tfs * (k1 + 1.0))
+                           / (tfs + norm[self._doc_ids[s:e]]))
+        impact.flags.writeable = False  # shared by every retriever with these params
+        return self._impact_memo.setdefault(params, impact)
 
     def _column(self, field: str, doc_ids: list[int]) -> list[str]:
         """Stored `field` of each doc in `doc_ids`; "" throughout if the
@@ -623,14 +655,11 @@ def bm25_score(
     return score
 
 
-# postings per step of BM25Retriever's impact build
-_IMPACT_BLOCK = 1 << 16
-
-
 @dataclass(unsafe_hash=True, repr=False)
 class BM25Retriever(Transformer):
     """Q -> R transformer scoring every document that contains at least one
-    query term, keeping the top num_results by (score desc, docno asc)."""
+    query term, keeping the top num_results by (score desc, docno asc).
+    It holds no array: apply reads the index's contributions for its params."""
 
     index: InvertedIndex
     bm25: BM25Params | None = None
@@ -644,33 +673,6 @@ class BM25Retriever(Transformer):
         check_positive(self.num_results, "num_results")
         self.bm25 = self.bm25 or BM25Params()
         self.include_fields = str_tuple(self.include_fields, "include_fields")
-        self._impact = self._impacts()
-
-    def _impacts(self) -> np.ndarray:
-        """Each posting's BM25 contribution, read-only and aligned with the
-        index's doc ids: idf * (tf * (k1 + 1)) / (tf + norm), the same IEEE
-        operations in the same order as bm25_score. Built block by block, so
-        the scratch memory is a few blocks, not a few postings arrays."""
-        idx = self.index
-        n, k1, b, avgdl = idx.n_docs, self.bm25.k1, self.bm25.b, idx.avgdl
-        # per-doc length norm; only read for docs with postings, so avgdl > 0 there
-        dl = idx._doclens / avgdl if avgdl else np.zeros(n)
-        norm = k1 * (1.0 - b + b * dl)
-        indptr = idx._indptr
-        df = np.diff(indptr)
-        # math.log, as bm25_score takes it: np.log need not round the same way
-        idf = np.array(list(map(math.log, ((n - df + 0.5) / (df + 0.5) + 1.0).tolist())))
-        impact = np.empty(len(idx._doc_ids))
-        for s in range(0, len(impact), _IMPACT_BLOCK):
-            e = min(s + _IMPACT_BLOCK, len(impact))
-            # the terms with postings in [s, e), and how many each has there
-            first, last = np.searchsorted(indptr, (s, e - 1), side="right") - 1
-            counts = np.diff(np.clip(indptr[first:last + 2], s, e))
-            tfs = idx._tfs[s:e]
-            impact[s:e] = (np.repeat(idf[first:last + 1], counts) * (tfs * (k1 + 1.0))
-                           / (tfs + norm[idx._doc_ids[s:e]]))
-        impact.flags.writeable = False  # _cut copies share it
-        return impact
 
     def _cut(self, k: int) -> BM25Retriever:
         # exact, as _top's order is total; a shallow copy keeps any subclass
@@ -697,7 +699,7 @@ class BM25Retriever(Transformer):
     def apply(self, frame: Frame) -> Frame:
         idx = self.index
         n = idx.n_docs
-        span, doc_ids, impact = idx._span, idx._doc_ids, self._impact
+        span, doc_ids, impact = idx._span, idx._doc_ids, idx._impacts(self.bm25)
         segments: list[_Segment] = []
         for row in frame.rows:
             # the query terms' postings in query term order, doc ids as intp

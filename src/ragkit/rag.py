@@ -38,6 +38,8 @@ from .frame import Frame, SemType, by_query
 from .transformer import Signature, Transformer, run, type_check
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_]+)\}")
+# the longest wait, in seconds, that a Retry-After header can set
+MAX_RETRY_AFTER = 60.0
 
 
 def _substitute(template: str, values: dict[str, str]) -> str:
@@ -198,11 +200,13 @@ class HttpBackend(Backend):
     max(10, concurrency) connections per host. When a prompt fails for good,
     prompts not yet sent are dropped, the ones in flight are awaited, and
     the BackendError of the earliest failed prompt, in prompt order, is
-    raised.
+    raised with that prompt's position as its `prompt`.
 
     429 and 5xx responses, connection errors and timeouts are retried up to
     max_retries times with exponential backoff (1s, 2s, 4s by default);
-    other error statuses and exceptions fail immediately.
+    other error statuses and exceptions fail immediately. A retried response
+    whose Retry-After header is delta-seconds (RFC 9110 10.2.3) waits that
+    long instead, at most MAX_RETRY_AFTER; an HTTP-date keeps the backoff.
     """
 
     model: str
@@ -255,7 +259,14 @@ class HttpBackend(Backend):
             wait(futures)  # and lets the ones in flight finish
         # prompts start in order, so every dropped one comes after the
         # first failure and result() raises that failure first
-        return [f.result() for f in futures]
+        answers = []
+        for i, f in enumerate(futures):
+            try:
+                answers.append(f.result())
+            except BackendError as exc:
+                exc.prompt = i  # so that _generate can name the prompt's qid
+                raise
+        return answers
 
     def _one(self, prompt: str, system: str) -> str:
         url = f"{self.base_url}/chat/completions"
@@ -273,6 +284,7 @@ class HttpBackend(Backend):
             headers["Authorization"] = f"Bearer {api_key}"
         attempt = 0
         while True:
+            delay = self.retry_base_delay * (2 ** attempt)
             try:
                 resp = self.session.post(
                     url, json=body, headers=headers, timeout=self.timeout
@@ -290,7 +302,12 @@ class HttpBackend(Backend):
                         f"backend returned HTTP {resp.status_code}: {resp.text[:200]}",
                         status=resp.status_code,
                     )
-            self.sleeper(self.retry_base_delay * (2 ** attempt))
+                # delta-seconds only: an HTTP-date or a malformed value keeps
+                # the backoff
+                after = resp.headers.get("Retry-After", "").strip()
+                if after.isascii() and after.isdigit():
+                    delay = min(int(after), MAX_RETRY_AFTER)
+            self.sleeper(delay)
             attempt += 1
 
     def _extract(self, resp) -> str:
@@ -420,25 +437,32 @@ def _fit_prompt(template: PromptTemplate, query: str, qcontext: str,
 
 
 def _generate(backend: Backend, template: PromptTemplate,
-              parts: Sequence[tuple[str, str, str]]) -> list[str]:
-    """One answer per (query, context, suffix), in order: each prompt is
-    fitted to the backend's max_input_chars, all go out in one generate
+              parts: Sequence[tuple[str, str, str, str]]) -> list[str]:
+    """One answer per (qid, query, context, suffix), in order: each prompt
+    is fitted to the backend's max_input_chars, all go out in one generate
     call, and a backend that does not answer each prompt once, with a str,
-    is an error."""
+    is an error. A BackendError names the qid of its prompt when it is
+    known: the only prompt, or the failed one the backend recorded."""
     prompts = [
         _fit_prompt(template, query, context, backend.max_input_chars, suffix)
-        for query, context, suffix in parts
+        for _, query, context, suffix in parts
     ]
     if not prompts:
         return []
-    answers = list(backend.generate(prompts, system=template.system))
+    try:
+        answers = list(backend.generate(prompts, system=template.system))
+    except BackendError as exc:
+        at = 0 if len(prompts) == 1 else exc.prompt
+        if exc.qid is None and at is not None:
+            exc._name_qid(parts[at][0])
+        raise
     if len(answers) != len(prompts):
         raise BackendError(
             f"backend returned {len(answers)} answers for {len(prompts)} prompts"
         )
-    for answer in answers:
+    for (qid, *_), answer in zip(parts, answers):
         if not isinstance(answer, str):
-            raise BackendError(f"backend returned {answer!r}, not a str, as an answer")
+            raise BackendError(f"backend returned {answer!r}, not a str, as an answer", qid)
     return answers
 
 
@@ -465,7 +489,7 @@ class _Answerer(Transformer):
         answers = _generate(
             self.backend,
             self.template,
-            [(r["query"], r.get("qcontext", ""), "") for r in rows],
+            [(r["qid"], r["query"], r.get("qcontext", ""), "") for r in rows],
         )
         return Frame(
             SemType.A,
@@ -577,7 +601,7 @@ class IterativeRetriever(Transformer):
                 for r in rows:
                     docs[qid].setdefault(r["docno"], r)
             steps = _generate(self.backend, self.template, [
-                (questions[qid], self.concat.render(list(docs[qid].values())),
+                (qid, questions[qid], self.concat.render(list(docs[qid].values())),
                  "\n" + " ".join(chains[qid]) if chains[qid] else "")
                 for qid in queries
             ])

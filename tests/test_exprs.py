@@ -53,17 +53,31 @@ class TestStageParsing:
         assert node.num_results == 7
         assert node.include_fields == ("text", "title")
 
-    def test_equal_retrievers_of_one_env_share_their_impacts(self, env):
+    def test_parsing_and_printing_build_no_array(self, small_index):
+        def fresh():
+            return Env(index_provider=lambda: small_index)
+
+        parsed = [parse(text, fresh()) for text in (
+            "bm25", "bm25(k=3, k1=0.9) % 2 >> concat >> reader(backend=stub:extract)",
+            "ircot(backend=stub:extract, iters=2)")]
+        for p in parsed:
+            assert parse(print_expr(p), fresh()) == p
+        assert small_index._impact_memo == {}
+
+    def test_equal_retrievers_share_one_array_however_they_were_parsed(
+            self, env, small_index):
         first, *leaves = [parse("bm25(k=3) % 2", env).child,
-                          parse("bm25(k=3) % 1", env).child,
+                          parse("bm25(k=3) % 1", Env(index_provider=env.index_provider)).child,
                           components(parse("bm25(k=3) >> concat", env))[0],
-                          parse("ircot(k=3)", env).retriever]
-        assert all(r == first and r._impact is first._impact for r in leaves)
+                          parse("ircot(k=3)", env).retriever, BM25Retriever(small_index)]
         tuned = parse("bm25(k=3, k1=0.9)", env)
-        assert tuned != first and tuned._impact is not first._impact
-        # another Env builds its own
-        other = Env(index_provider=env.index_provider)
-        assert parse("bm25(k=3)", other)._impact is not first._impact
+        q = Frame(SemType.Q, [{"qid": "q", "query": "paris capital"}])
+        for r in [first, *leaves, tuned]:
+            run(r, q)
+        assert all(r.bm25 == first.bm25 for r in leaves) and tuned.bm25 != first.bm25
+        assert list(small_index._impact_memo) == [first.bm25, tuned.bm25]
+        run(parse("ircot(k=3, backend=stub:extract)", env), q)
+        assert len(small_index._impact_memo) == 2
 
     def test_bm25_defaults_attach_text(self, env):
         assert parse("bm25", env).include_fields == ("text",)

@@ -11,11 +11,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
-from ragkit.errors import BackendError, InvalidK
+from ragkit.errors import BackendError, InvalidK, PipelineError
 from ragkit.eval import experiment
 from ragkit.frame import Frame, SemType
 from ragkit.index import BM25Retriever, index_corpus
-from ragkit.rag import Concatenator, HttpBackend, ircot, reader, zero_shot
+from ragkit.rag import MAX_RETRY_AFTER, Concatenator, HttpBackend, ircot, reader, zero_shot
 from ragkit.transformer import run
 
 
@@ -30,7 +30,8 @@ def prompt_of(body):
 class FakeLLMServer:
     """Records every request and replays a scripted list of responses.
 
-    Each scripted item is (status, payload); the last item repeats forever.
+    Each scripted item is (status, payload) or (status, payload, headers),
+    headers being a dict sent with the reply; the last item repeats forever.
     A status of None drops the connection without a reply. Setting `reply`
     to a function of (arrival index, request body) returning such an item
     replaces the script. `max_in_flight` is the most requests ever handled
@@ -60,7 +61,7 @@ class FakeLLMServer:
                     outer.in_flight += 1
                     outer.max_in_flight = max(outer.max_in_flight, outer.in_flight)
                 try:
-                    status, payload = (
+                    status, payload, *headers = (
                         outer.reply(arrival, body) if outer.reply
                         else outer.responses[min(arrival, len(outer.responses) - 1)])
                 finally:
@@ -74,6 +75,8 @@ class FakeLLMServer:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                for name, value in (headers[0] if headers else {}).items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
 
@@ -188,6 +191,38 @@ def test_gives_up_after_max_retries(server):
     assert err.value.status == 429
     assert len(server.requests) == 4  # initial try plus three retries
     assert delays == [0.25, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("status", [429, 503])
+@pytest.mark.parametrize("value, waited", [
+    ("3", 3), (" 0 ", 0), ("100000", MAX_RETRY_AFTER),
+    # an HTTP-date or a malformed value keeps the exponential backoff
+    ("Wed, 21 Oct 2015 07:28:00 GMT", 0.25), ("-1", 0.25), ("1.5", 0.25),
+    ("", 0.25), ("soon", 0.25), ("\u00b2", 0.25),
+])
+def test_retry_after_in_seconds_sets_the_wait(server, status, value, waited):
+    delays = []
+    server.set_responses((status, {"error": "later"}, {"Retry-After": value}),
+                         (200, content("ok")))
+    backend = make_backend(server, sleeper=delays.append)
+    assert backend.generate(["x"]) == ["ok"]
+    assert len(server.requests) == 2 and delays == [waited]
+
+
+def test_retry_after_sets_only_its_own_attempts_wait(server):
+    delays = []
+    server.set_responses((429, {}, {"Retry-After": "7"}), (503, {}),
+                         (429, {}, {"Retry-After": "2"}), (200, content("ok")))
+    assert make_backend(server, sleeper=delays.append).generate(["x"]) == ["ok"]
+    assert delays == [7, 0.5, 2]
+
+
+def test_retry_after_on_a_client_error_is_not_a_retry(server):
+    delays = []
+    server.set_responses((400, {"error": "bad"}, {"Retry-After": "1"}))
+    with pytest.raises(BackendError):
+        make_backend(server, sleeper=delays.append).generate(["x"])
+    assert len(server.requests) == 1 and delays == []
 
 
 def test_http_500_is_retried_like_429(server):
@@ -587,3 +622,52 @@ def test_concurrency_changes_no_experiment_report_or_ircot_answer(server):
                                 for r in run(loop, topics).rows]
     assert answers[1] == answers[8]
     assert {iterations for _, _, iterations in answers[1]} == {1, 2, 3}
+
+
+# -- the failed prompt's qid ---------------------------------------------------
+
+
+def test_the_backend_records_its_earliest_failed_prompt(server):
+    server.reply = lambda arrival, body: (
+        (400, {"error": "bad"}) if prompt_of(body) in ("p2", "p4") else (200, content("ok")))
+    with pytest.raises(BackendError) as err:
+        make_backend(server).generate([f"p{i}" for i in range(6)])
+    assert err.value.prompt == 2 and err.value.qid is None
+
+
+def test_a_reader_names_the_qid_whose_prompt_failed(server):
+    server.reply = lambda arrival, body: (
+        (400, {"error": "bad"}) if "Question: second" in prompt_of(body)
+        else (200, content("ok")))
+    qc = Frame(SemType.QC, [{"qid": qid, "query": query, "qcontext": "c"}
+                            for qid, query in (("q1", "first"), ("q2", "second"),
+                                               ("q3", "third"))])
+    with pytest.raises(PipelineError) as err:
+        run(reader(make_backend(server)), qc)
+    cause = err.value.cause
+    assert isinstance(cause, BackendError)
+    assert cause.qid == "q2" and cause.status == 400 and cause.prompt == 1
+    assert str(cause).endswith("(qid=q2)")
+
+
+def test_an_ircot_round_names_the_qid_whose_prompt_failed(server):
+    index = index_corpus([{"docno": f"d{i}", "text": text} for i, text in enumerate(
+        ["the eiffel tower is in paris", "the colosseum is in rome", "big ben is in london"])])
+
+    # every question goes on to a second round; only q3's second step fails
+    def reply(arrival, body):
+        prompt = prompt_of(body)
+        if "Question: where is big ben" in prompt and prompt.endswith("a step"):
+            return 400, {"error": "bad"}
+        return 200, content("a step")
+
+    server.reply = reply
+    loop = ircot(BM25Retriever(index, include_fields=("text",)), make_backend(server),
+                 max_iterations=3)
+    topics = Frame(SemType.Q, [{"qid": f"q{i}", "query": q} for i, q in enumerate(
+        ["where is the eiffel tower", "where is the colosseum", "where is big ben"], 1)])
+    with pytest.raises(PipelineError) as err:
+        run(loop, topics)
+    assert err.value.path == "ircot"
+    assert err.value.cause.qid == "q3" and err.value.cause.status == 400
+    assert sum(prompt_of(r["body"]).endswith("a step") for r in server.requests) == 3

@@ -2,9 +2,12 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import shutil
+import sys
 import tempfile
+import threading
 from array import array
 from pathlib import Path
 
@@ -44,6 +47,8 @@ from ragkit.index import (
 from ragkit.rag import Concatenator, StubBackend, ircot, reader, zero_shot
 from ragkit.transformer import RankCutoff, Transformer, run
 
+from conftest import random_corpus
+
 # the definition of a token; Tokenizer must agree with it on every text
 TOKEN_RE = re.compile(r"[^\W_]+")
 
@@ -64,9 +69,10 @@ class RegexTokenizer(Tokenizer):
 # lowers to ASCII "k", U+0130 lowers to "i" plus U+0307 COMBINING DOT ABOVE,
 # "ß" lowers to itself, superscript two and ARABIC-INDIC DIGIT THREE are
 # alphanumeric non-ASCII, NBSP, NEL and LINE SEPARATOR are non-ASCII
-# whitespace, U+0307 alone is not alphanumeric, and "_" is a word character
-# that still separates tokens
-EDGE_CHARS = "\u212a\u0130\u00df\u00b2\u0663\u00a0\u0085\u2028\u0307_"
+# whitespace, U+0307 alone is not alphanumeric, "_" is a word character
+# that still separates tokens, and "\u00c9", "\u00e9" and dotless "\u0131" are
+# letters next to ASCII ones
+EDGE_CHARS = "\u212a\u0130\u00df\u00b2\u0663\u00a0\u0085\u2028\u0307_\u00c9\u00e9\u0131"
 ASCII_AND_EDGE = [chr(i) for i in range(128)] + list(EDGE_CHARS)
 
 MIXED_CORPUS = [
@@ -397,26 +403,77 @@ class TestRetriever:
 
     def test_a_cut_shares_the_read_only_impacts(self, small_index):
         r = bm25_retriever(small_index)
-        assert r._cut(3)._impact is r._impact
         ((_, cut),) = (r % 3)._operands()
-        assert cut.num_results == 3 and cut._impact is r._impact
+        assert cut.num_results == 3 and cut.bm25 is r.bm25
+        for stage in (r, r._cut(3), cut):
+            run(stage, Frame(SemType.Q, [{"qid": "q", "query": "paris"}]))
+        assert list(small_index._impact_memo) == [r.bm25]
         with pytest.raises(ValueError, match="read-only"):
-            r._impact[0] = 1.0
+            small_index._impacts(r.bm25)[0] = 1.0
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
     def test_impacts_do_not_depend_on_the_build_block(self, small_index, monkeypatch, block):
-        whole = bm25_retriever(small_index, bm25=BM25Params(k1=0.9, b=0.4))._impact
+        params = BM25Params(k1=0.9, b=0.4)
+        whole = small_index._impacts(params)
         assert len(whole) > 7  # more postings than any block below
         monkeypatch.setattr(ragkit.index, "_IMPACT_BLOCK", block)
-        blocked = bm25_retriever(small_index, bm25=BM25Params(k1=0.9, b=0.4))._impact
-        assert blocked.tobytes() == whole.tobytes()
+        small_index._impact_memo.clear()  # so that the block loop runs again
+        blocked = small_index._impacts(params)
+        assert blocked is not whole and blocked.tobytes() == whole.tobytes()
+
+    def test_equal_retrievers_share_one_array_and_other_params_get_their_own(
+            self, small_index):
+        q = Frame(SemType.Q, [{"qid": "q", "query": "paris capital"}])
+        tuned = BM25Params(k1=0.9)
+        built = [bm25_retriever(small_index), bm25_retriever(small_index, BM25Params()),
+                 bm25_retriever(small_index) % 2, bm25_retriever(small_index, tuned)]
+        outs = [run(stage, q) for stage in built]
+        assert list(small_index._impact_memo) == [BM25Params(), tuned]
+        assert outs[2].rows == outs[0].rows[:2]
+        default, other = small_index._impact_memo.values()
+        assert default is small_index._impacts(BM25Params(1.2, 0.75))
+        assert other is not default
+
+    def test_constructing_comparing_and_cutting_build_no_array(self, small_index):
+        r, twin = (bm25_retriever(small_index, num_results=5) for _ in range(2))
+        assert r == twin and hash(r) == hash(twin) and r != r._cut(2)
+        assert (r % 2)._operands()[0][1].num_results == 2
+        assert small_index._impact_memo == {}
+
+    def test_threads_applying_one_fresh_retriever_at_once_share_one_array(self, monkeypatch):
+        index = index_corpus(random_corpus(random.Random(5), 2000, vocab_size=60))
+        r = bm25_retriever(index, num_results=50)
+        q = Frame(SemType.Q, [{"qid": "q", "query": "t1 t2 t3 t4 t5"}])
+        barrier, outs, used = threading.Barrier(8), [None] * 8, []
+        build = InvertedIndex._impacts
+        monkeypatch.setattr(InvertedIndex, "_impacts",
+                            lambda self, params: used.append(build(self, params)) or used[-1])
+
+        def work(i):
+            barrier.wait(timeout=60)
+            outs[i] = run(r, q).rows
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert outs[0] and all(out == outs[0] for out in outs)
+        assert len(used) == 8 and all(a is used[0] for a in used)
+        assert list(index._impact_memo) == [r.bm25]
 
     @pytest.mark.parametrize("index", [index_corpus([]), InvertedIndex()],
                              ids=["no_docs", "empty"])
     @pytest.mark.parametrize("query", ["", "paris", "paris paris rome"])
     def test_a_retriever_over_an_empty_index_finds_nothing(self, index, query):
         r = bm25_retriever(index, include_fields=("text",))
-        assert len(r._impact) == 0
+        assert len(index._impacts(r.bm25)) == 0
         out = run(r, Frame(SemType.Q, [{"qid": "q", "query": query}]))
         assert out.semtype is SemType.R and len(out) == 0
 

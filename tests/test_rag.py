@@ -257,6 +257,30 @@ def test_an_answer_that_is_not_a_str_is_reported(stage, answer):
         run(p, frame)
     assert isinstance(err.value.cause, BackendError)
     assert "not a str" in str(err.value.cause)
+    assert err.value.cause.qid == "q1" and str(err.value.cause).endswith("(qid=q1)")
+
+
+class Down(Backend):
+    """Fails every call with one BackendError, recording no prompt."""
+
+    descriptor = "down"
+
+    def generate(self, prompts, system=""):
+        raise BackendError("down")
+
+
+@pytest.mark.parametrize("stage", [
+    lambda backend: zero_shot(backend),
+    lambda backend: ircot(mock_retriever({"q1": [("d1", 1.0)]}), backend, fields=("query",)),
+], ids=["zero_shot", "ircot"])
+def test_a_failed_one_prompt_call_names_its_qid_whatever_the_backend(stage):
+    with pytest.raises(PipelineError) as err:
+        run(stage(Down()), Frame(SemType.Q, [{"qid": "q1", "query": "x"}]))
+    assert err.value.cause.qid == "q1" and str(err.value.cause) == "down (qid=q1)"
+    # over two prompts the backend must say which one failed
+    with pytest.raises(PipelineError) as err:
+        run(stage(Down()), Frame(SemType.Q, [{"qid": q, "query": "x"} for q in ("q1", "q2")]))
+    assert err.value.cause.qid is None and str(err.value.cause) == "down"
 
 
 class TestPromptRenderer:
